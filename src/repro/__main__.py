@@ -333,8 +333,7 @@ def cmd_link(args) -> int:
                 trace.close()
             return 1
         linked = link_art.linked
-    solve_art = pipeline.solve(linked.program, config)
-    solution = solve_art.attach(linked.program)
+    solution = pipeline.solve(linked.program, config).solution
     if trace is not None:
         trace.emit("link", "+".join(src.name for src in sources),
                    linked.summary())
@@ -521,8 +520,7 @@ def cmd_audit(args) -> int:
         if trace is not None:
             trace.close()
         return 1
-    solve_art = pipeline.solve(linked.program, config)
-    solution = solve_art.attach(linked.program)
+    solution = pipeline.solve(linked.program, config).solution
 
     context = build_audit_context(
         pipeline, ir_sources, linked, solution, var_maps=audit_var_maps

@@ -244,31 +244,56 @@ class SolverState:
         it is emitted, and merged-away pointers receive their
         representative's shared frozenset — the single extraction pass
         produces the final original-universe solution.
+
+        IP and EP share the loop; EP differs only in its lift, its Ω
+        skip and its E, all chosen before the loop.  (EP programs carry
+        no Table II flags and EP visits never mark ``pte``, so the loop's
+        Ω widening never fires for them.)
         """
         program = self.program
         self.stats.explicit_pointees = self.count_explicit_pointees()
         self.stats.memo_hits = self.memo.hits
         self.stats.memo_misses = self.memo.misses
-        omega = program.omega
-        if omega is not None:
-            return self._extract_ep(omega)
         out_program, new2old, alias_of = self.remap or (program, None, None)
         find = self.uf.find
-        ea_mvars = (
-            x
-            for x in compress(range(program.num_vars), program.in_m)
-            if self.ea[x]
-        )
         if new2old is None:
-            external = frozenset(ea_mvars)
-            lift = frozenset
+            remapped = frozenset
         else:
-            external = frozenset(new2old[x] for x in ea_mvars)
             item = new2old.__getitem__
 
-            def lift(full):
+            def remapped(full):
                 return frozenset(map(item, full))
 
+        omega = program.omega
+        in_p = program.in_p
+        if omega is None:
+            # IP: E is the locations marked externally accessible.
+            located = (
+                x
+                for x in compress(range(program.num_vars), program.in_m)
+                if self.ea[x]
+            )
+            lift = remapped
+        else:
+            # EP: E is Sol(Ω) without Ω itself; Ω is not a pointer of
+            # the answer, and inside a set it becomes the OMEGA token.
+            located = (x for x in self.full_sol(find(omega)) if x != omega)
+            in_p = list(in_p)
+            in_p[omega] = False
+            # new2old is injective: only the compact Ω maps to the
+            # original Ω index, so dropping it after the bulk remap is
+            # exact.
+            omega_set = remapped((omega,))
+            wire = frozenset((OMEGA,))
+
+            def lift(full):
+                # One membership probe + C-level set ops beat a
+                # per-member conditional: Ω is in at most one slot.
+                if omega in full:
+                    return remapped(full) - omega_set | wire
+                return remapped(full)
+
+        external = remapped(located)
         ext_plus = external | {OMEGA}
         intern = InternTable()
         key_of = self.pts.cache_key
@@ -279,7 +304,7 @@ class SolverState:
         by_rep: Dict[int, FrozenSet] = {}
         by_key: Dict[object, FrozenSet] = {}
         points_to: Dict[int, FrozenSet] = {}
-        for p in compress(range(program.num_vars), program.in_p):
+        for p in compress(range(program.num_vars), in_p):
             r = find(p) if unions else p
             s = by_rep.get(r) if unions else None
             if s is None:
@@ -305,71 +330,6 @@ class SolverState:
                         if self.pte[r]:
                             s = s | ext_plus
                         s = intern.intern(s)
-                        if k is not None:
-                            by_key[k] = s
-                by_rep[r] = s
-            points_to[p if new2old is None else new2old[p]] = s
-        if alias_of is not None:
-            self._fill_aliases(points_to, out_program, alias_of)
-        self.stats.shared_sets = len(intern)
-        return Solution(out_program, points_to, external, self.stats)
-
-    def _extract_ep(self, omega: int) -> Solution:
-        find = self.uf.find
-        program = self.program
-        out_program, new2old, alias_of = self.remap or (program, None, None)
-        sol_omega = self.full_sol(find(omega))
-        wire = frozenset((OMEGA,))
-        if new2old is None:
-            external = frozenset(x for x in sol_omega if x != omega)
-            omega_set = frozenset((omega,))
-
-            def lift(full):
-                # One membership probe + C-level set ops beat a
-                # per-member conditional: Ω is in at most one slot.
-                if omega in full:
-                    return frozenset(full) - omega_set | wire
-                return frozenset(full)
-
-        else:
-            item = new2old.__getitem__
-            external = frozenset(
-                new2old[x] for x in sol_omega if x != omega
-            )
-            # new2old is injective: only the compact Ω maps to the
-            # original Ω index, so dropping it after the bulk remap is
-            # exact.
-            omega_set = frozenset((new2old[omega],))
-
-            def lift(full):
-                if omega in full:
-                    return frozenset(map(item, full)) - omega_set | wire
-                return frozenset(map(item, full))
-
-        intern = InternTable()
-        key_of = self.pts.cache_key
-        empty_sol = None
-        unions = self.any_unions
-        by_rep: Dict[int, FrozenSet] = {}
-        by_key: Dict[object, FrozenSet] = {}
-        points_to: Dict[int, FrozenSet] = {}
-        for p in compress(range(program.num_vars), program.in_p):
-            if p == omega:
-                continue
-            r = find(p) if unions else p
-            s = by_rep.get(r) if unions else None
-            if s is None:
-                full = self.full_sol(r)
-                if not full:
-                    if empty_sol is None:
-                        empty_sol = intern.intern(frozenset())
-                    s = empty_sol
-                else:
-                    k = key_of(full)
-                    if k is not None:
-                        s = by_key.get(k)
-                    if s is None:
-                        s = intern.intern(lift(full))
                         if k is not None:
                             by_key[k] = s
                 by_rep[r] = s

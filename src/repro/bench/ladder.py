@@ -60,8 +60,7 @@ def ladder_over_members(
     for k in range(1, len(members) + 1):
         link_art = pipeline.link(members[:k])
         linked = link_art.linked
-        solve_art = pipeline.solve(linked.program, config)
-        solution = solve_art.attach(linked.program)
+        solution = pipeline.solve(linked.program, config).solution
 
         # TU₀'s image is index-identical at every rung.
         tu0_image = set(linked.member_vars(members[0].name))

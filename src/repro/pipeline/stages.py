@@ -32,7 +32,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.config import Configuration, prepare_program, solve_prepared
 from ..analysis.constraints import ConstraintProgram
@@ -78,6 +78,14 @@ STAGE_VERSIONS = {
 def _key(stage: str, *parts: str) -> str:
     raw = "|".join((stage, STAGE_VERSIONS[stage]) + parts)
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+
+
+def _decode_program(payload: Dict) -> Tuple[ConstraintProgram, str]:
+    """A ``constraints``/``import`` stage payload → (program, digest)."""
+    digest = payload["digest"]
+    if not isinstance(digest, str):
+        raise ValueError("program digest is not a string")
+    return ConstraintProgram.from_dict(payload["program"]), digest
 
 
 # ----------------------------------------------------------------------
@@ -134,16 +142,12 @@ class AuditArtifact:
 
 @dataclass
 class SolveArtifact:
-    """A canonical solution for one (program, configuration) pair."""
+    """The solution of one (program, configuration) pair."""
 
-    key: str
     config_name: str
-    solution: Dict  # Solution.to_canonical_dict() form
+    #: the live solution, answering against the solved program
+    solution: Solution
     from_cache: bool = False
-
-    def attach(self, program: ConstraintProgram) -> Solution:
-        """Rehydrate a full :class:`Solution` against ``program``."""
-        return Solution.from_canonical_dict(self.solution, program)
 
 
 # ----------------------------------------------------------------------
@@ -316,11 +320,10 @@ class Pipeline:
         """
         key = _key("constraints", src.digest, self.summaries_tag)
         if self.cache is not None:
-            payload = self.cache.load_stage("constraints", key)
-            if payload is not None:
+            hit = self.cache.load_stage("constraints", key, _decode_program)
+            if hit is not None:
                 self._bump("constraints", "hits")
-                program = ConstraintProgram.from_dict(payload["program"])
-                digest = payload["digest"]
+                program, digest = hit
                 if program.name != src.name:
                     # Entry written for an identical source under a
                     # different name: re-label (the program name feeds
@@ -356,12 +359,12 @@ class Pipeline:
         """
         key = _key("import", src.digest)
         if self.cache is not None:
-            payload = self.cache.load_stage("import", key)
-            if payload is not None:
+            hit = self.cache.load_stage("import", key, _decode_program)
+            if hit is not None:
                 self._bump("import", "hits")
-                program = ConstraintProgram.from_dict(payload["program"])
+                program, digest = hit
                 return ConstraintsArtifact(
-                    src.name, key, program, payload["digest"], from_cache=True
+                    src.name, key, program, digest, from_cache=True
                 )
             self._bump("import", "misses")
         from ..interchange import parse_constraint_text
@@ -391,12 +394,12 @@ class Pipeline:
             *[f"{m.name}:{m.program_digest}" for m in members],
         )
         if self.cache is not None:
-            payload = self.cache.load_stage("link", key)
-            if payload is not None:
+            linked = self.cache.load_stage(
+                "link", key, LinkedProgram.from_dict
+            )
+            if linked is not None:
                 self._bump("link", "hits")
-                return LinkArtifact(
-                    key, LinkedProgram.from_dict(payload), from_cache=True
-                )
+                return LinkArtifact(key, linked, from_cache=True)
             self._bump("link", "misses")
         with self._timed("link"):
             linked = link_programs(
@@ -415,30 +418,43 @@ class Pipeline:
         config: Configuration,
         program_digest: Optional[str] = None,
     ) -> SolveArtifact:
-        """Constraint program → canonical solution (persistent stage)."""
-        digest = (
-            program_digest if program_digest is not None else program.digest()
-        )
-        key = _key("solve", digest, config.cache_key)
+        """Constraint program → solution (persistent stage).
+
+        The solution stays live: it is encoded only to store a cache
+        entry and decoded only from a cache hit.  The stage key, and
+        with it the program digest, is computed only when a cache is
+        attached.
+        """
+        key = None
         if self.cache is not None:
-            payload = self.cache.load_stage("solve", key)
-            if payload is not None:
+            if program_digest is None:
+                program_digest = program.digest()
+            key = _key("solve", program_digest, config.cache_key)
+            solution = self.cache.load_stage(
+                "solve",
+                key,
+                lambda payload: Solution.from_canonical_dict(
+                    payload["solution"], program
+                ),
+            )
+            if solution is not None:
                 self._bump("solve", "hits")
-                record_solver_stats(
-                    self.registry, payload["solution"]["stats"]
-                )
-                return SolveArtifact(
-                    key, config.name, payload["solution"], from_cache=True
-                )
+                record_solver_stats(self.registry, solution.stats.to_dict())
+                return SolveArtifact(config.name, solution, from_cache=True)
             self._bump("solve", "misses")
         with self._timed("solve"):
             solution = solve_prepared(prepare_program(program, config), config)
         self._bump("solve", "runs")
-        canonical = solution.to_canonical_dict()
-        record_solver_stats(self.registry, canonical["stats"])
-        if self.cache is not None:
-            self.cache.store_stage("solve", key, {"solution": canonical})
-        return SolveArtifact(key, config.name, canonical)
+        if solution.program is not program:
+            # EP solves an Ω-lowered copy: answer against the caller's
+            # program, as a decoded cache entry does.
+            solution = solution.rebase(program)
+        record_solver_stats(self.registry, solution.stats.to_dict())
+        if key is not None:
+            self.cache.store_stage(
+                "solve", key, {"solution": solution.to_canonical_dict()}
+            )
+        return SolveArtifact(config.name, solution)
 
     def audit(
         self,

@@ -354,10 +354,7 @@ class Project:
         members = [self._member(src) for src in sources.values()]
         link_art = self.pipeline.link(members, self.options)
         linked = link_art.linked
-        solve_art = self.pipeline.solve(
-            linked.program, self.config, program_digest=None
-        )
-        solution = solve_art.attach(linked.program)
+        solution = self.pipeline.solve(linked.program, self.config).solution
         self.generation += 1
         self.registry.add("serve.generations")
         self._snapshot = Snapshot(

@@ -120,16 +120,12 @@ class TestMultiTU:
         pipeline, sources, members = self.build()
         config = with_reduce(parse_name("IP+WL(FIFO)+PIP"))
         linked = pipeline.link(members).linked
-        linked_sol = pipeline.solve(linked.program, config).attach(
-            linked.program
-        )
+        linked_sol = pipeline.solve(linked.program, config).solution
         concat = pipeline.source(
             "rml.c", "\n".join(src.text for src in sources)
         )
         whole = pipeline.constraints(concat)
-        concat_sol = pipeline.solve(whole.program, config).attach(
-            whole.program
-        )
+        concat_sol = pipeline.solve(whole.program, config).solution
         assert named_json(linked_sol) == named_json(concat_sol)
 
     @pytest.mark.parametrize(

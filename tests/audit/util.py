@@ -70,9 +70,7 @@ def build_context(
         ]
         linked = pipeline.link(members, options).linked
     configuration = config if config is not None else DEFAULT_CONFIGURATION
-    solution = pipeline.solve(linked.program, configuration).attach(
-        linked.program
-    )
+    solution = pipeline.solve(linked.program, configuration).solution
     context = build_audit_context(
         pipeline, ir_sources, linked, solution, var_maps=var_maps
     )

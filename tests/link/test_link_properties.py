@@ -39,12 +39,12 @@ def build_members(seed, n_units, unit_size):
 def test_whole_program_contained_in_per_tu_solution(seed, n_units):
     pipeline, members = build_members(seed, n_units, unit_size=20)
     linked = pipeline.link(members).linked
-    joint_sol = pipeline.solve(linked.program, CONFIG).attach(linked.program)
+    joint_sol = pipeline.solve(linked.program, CONFIG).solution
     joint_external = set(joint_sol.external)
 
     for member in members:
         program = member.program
-        tu_sol = pipeline.solve(program, CONFIG).attach(program)
+        tu_sol = pipeline.solve(program, CONFIG).solution
         mapping = linked.var_maps[member.name]
         image = set(mapping)
 

@@ -27,13 +27,13 @@ def link_and_concat_solutions(spec, config):
     sources = [pipeline.source(u.name, generate_c_source(u)) for u in units]
     members = [pipeline.constraints(src) for src in sources]
     linked = pipeline.link(members).linked
-    linked_sol = pipeline.solve(linked.program, config).attach(linked.program)
+    linked_sol = pipeline.solve(linked.program, config).solution
 
     concat = pipeline.source(
         spec.name + ".c", "\n".join(src.text for src in sources)
     )
     whole = pipeline.constraints(concat)
-    concat_sol = pipeline.solve(whole.program, config).attach(whole.program)
+    concat_sol = pipeline.solve(whole.program, config).solution
     return linked_sol, concat_sol
 
 
@@ -70,7 +70,7 @@ def test_two_handwritten_files():
     linked = pipeline.link_sources(
         [pipeline.source("a.c", a), pipeline.source("b.c", b)]
     ).linked
-    linked_sol = pipeline.solve(linked.program, config).attach(linked.program)
+    linked_sol = pipeline.solve(linked.program, config).solution
     whole = pipeline.constraints(pipeline.source("ab.c", a + b))
-    concat_sol = pipeline.solve(whole.program, config).attach(whole.program)
+    concat_sol = pipeline.solve(whole.program, config).solution
     assert named_json(linked_sol) == named_json(concat_sol)

@@ -114,9 +114,7 @@ class TestServeEquivalence:
         sources = [pipeline.source("a.c", A), pipeline.source("b.c", B)]
         members = [pipeline.constraints(src) for src in sources]
         linked = pipeline.link(members, LinkOptions()).linked
-        solution = pipeline.solve(linked.program, CONFIG).attach(
-            linked.program
-        )
+        solution = pipeline.solve(linked.program, CONFIG).solution
         expected = solution.to_named_canonical()
 
         project = Project(config=CONFIG, options=LinkOptions())
