@@ -520,6 +520,8 @@ class ConstraintProgram:
         def operand(where: str, v) -> Optional[int]:
             return None if v is None else index(where, v)
 
+        check("var_names", all(isinstance(v, str) for v in program.var_names),
+              "expected strings")
         for field_name in (
             "in_p", "in_m", "base", "simple_out", "load_from", "store_into"
         ):
@@ -563,6 +565,7 @@ class ConstraintProgram:
                 [operand(where, a) for a in args],
             )
         flags = data["flags"]
+        check("flags", isinstance(flags, dict), "expected a mapping")
         for flag_name, row in flags.items():
             check(f"flags[{flag_name!r}]", len(row) == n,
                   f"expected {n} entries, got {len(row)}")
@@ -578,6 +581,11 @@ class ConstraintProgram:
         for sym in data["symbols"]:
             symbol = ProgramSymbol.from_dict(sym)
             where = f"symbols[{symbol.name!r}]"
+            check(where, all(
+                isinstance(s, str) for s in (
+                    symbol.name, symbol.kind, symbol.linkage, symbol.type_key
+                )
+            ), "expected string fields")
             index(where, symbol.var, memory=True)
             check(where, symbol.name not in program.symbols,
                   "duplicate symbol name")

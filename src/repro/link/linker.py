@@ -182,11 +182,14 @@ class LinkedProgram:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "LinkedProgram":
+        var_maps = data["var_maps"]
+        if not isinstance(var_maps, dict):
+            raise ValueError("var_maps is not a mapping")
         return cls(
             program=ConstraintProgram.from_dict(data["program"]),
             options=LinkOptions.from_dict(data["options"]),
             members=list(data["members"]),
-            var_maps={m: list(v) for m, v in data["var_maps"].items()},
+            var_maps={m: list(v) for m, v in var_maps.items()},
             resolutions={
                 r["name"]: SymbolResolution.from_dict(r)
                 for r in data["resolutions"]

@@ -280,6 +280,22 @@ class TestNarrowedErrorHandling:
         # Solve-task counters are untouched by stage-entry corruption.
         assert fresh.stats.corrupted == 0
 
+    def test_stage_decode_bug_propagates(self, tmp_path):
+        """A decoder raising anything but ValueError/KeyError/TypeError
+        has a bug: the error surfaces and the entry stays."""
+        cache = ResultCache(tmp_path)
+        cache.store_stage("constraints", "ab" * 32, {"program": {}})
+
+        def buggy(payload):
+            return payload["program"].missing_attribute
+
+        fresh = ResultCache(tmp_path)
+        with pytest.raises(AttributeError):
+            fresh.load_stage("constraints", "ab" * 32, buggy)
+        stats = fresh.stats_for("constraints")
+        assert (stats.corrupted, stats.misses, stats.hits) == (0, 0, 0)
+        assert cache._stage_path("constraints", "ab" * 32).exists()
+
 
 class TestMaxEntriesLRU:
     """The optional ``max_entries`` bound: LRU eviction per namespace,
