@@ -8,7 +8,8 @@ Three online/hybrid techniques are implemented as pluggable detectors:
   edge is inserted, search for a cycle through it and collapse it
   immediately.  Detects all cycles as soon as they appear, which is why
   the paper deems combining it with the opportunistic techniques
-  pointless.
+  pointless.  It keeps a Pearce–Kelly dynamic topological order, so an
+  insertion only searches and reorders the nodes it affects.
 - :class:`LazyCycleDetection` (LCD, Hardekopf & Lin): when a propagation
   along an edge makes both endpoint Sol sets equal, suspect a cycle and
   run a (rare) detection sweep; never check the same edge twice.
@@ -24,7 +25,8 @@ Detectors communicate unifications through
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Callable, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..constraints import ConstraintProgram
 
@@ -108,139 +110,143 @@ class CycleDetector:
     def on_union(self, survivor: int, dead: int) -> None:
         pass
 
-    # ------------------------------------------------------------------
-
-    def _collapse_cycle_through(self, src: int, dst: int) -> bool:
-        """Collapse the SCC containing the edge src → dst, if any.
-
-        Runs Tarjan from ``dst``; if ``src`` lands in the same SCC as
-        ``dst`` the edge closes a genuine cycle and all members are
-        unified (via deferred requests).  Returns True if a cycle was
-        found.
-        """
-        st = self.state
-        sccs = strongly_connected_components([dst], st.canonical_succ)
-        for scc in sccs:
-            if len(scc) < 2:
-                continue
-            if src in scc and dst in scc:
-                first = scc[0]
-                for other in scc[1:]:
-                    self.solver.request_union(first, other)
-                return True
-        return False
-
 
 class OnlineCycleDetection(CycleDetector):
     """OCD: detect every cycle the moment its closing edge is inserted.
 
-    Follows the dynamic-topological-order approach of Pearce, Kelly &
-    Hankin: a topological order of the simple-edge graph is maintained;
-    inserting an edge src → dst that respects the order (pos[src] <
-    pos[dst]) provably closes no cycle and costs O(1).  Only
-    order-violating insertions trigger a search, pruned to the affected
-    region; if no cycle is found the region is locally reordered
-    (MNR-style shift), otherwise the SCC is collapsed.
+    The dynamic topological order of Pearce & Kelly: every live
+    representative holds an integer position, and every simple edge
+    runs from a lower to a higher one.  Inserting an edge src → dst
+    with pos[src] < pos[dst] provably closes no cycle and costs O(1).
+    An order-violating insertion searches two affected sets: δ⁺, the
+    nodes reachable from dst at positions ≤ pos[src], and δ⁻, the nodes
+    that reach src at positions ≥ pos[dst].  Only those nodes move:
+    they take their own positions, sorted, δ⁻ first and δ⁺ second.
+
+    If src is in δ⁺ the edge closes a cycle, and δ⁺ ∩ δ⁻ is its SCC.
+    The SCC is spliced between δ⁻ and δ⁺ before its unions are
+    requested, so whichever member survives already holds a valid
+    position and the order needs no rebuild.  Unions land at the end of
+    the visit; an edge inserted while a collapse is pending is queued
+    and replayed at the next visit, never searched against the
+    half-collapsed order.
+
+    The backward search needs predecessors, which the solver does not
+    keep, so the detector records them.  An entry may name a node that
+    has since been unified away (it is mapped to its representative) or
+    an edge PIP addition 4 elided (it is skipped).
 
     The initial constraint graph counts as a sequence of insertions, so
     cycles already present before solving are collapsed up front —
-    "OCD detects all cycles as soon as they appear" (paper §V-A).
+    "OCD detects all cycles as soon as they appear" (paper §V-A).  The
+    Tarjan pass that finds them also yields the initial order.
     """
 
     name = "OCD"
 
     def __init__(self) -> None:
+        #: live representative → its position in the topological order
         self._pos: Dict[int, int] = {}
-        self._order: List[Optional[int]] = []
-        self._dirty = True
+        #: node → the nodes with a simple edge into it (may be stale)
+        self._preds: DefaultDict[int, Set[int]] = defaultdict(set)
+        #: edges inserted since this visit requested a collapse; None
+        #: when no collapse is pending
+        self._deferred: Optional[List[Tuple[int, int]]] = None
 
     def before_solve(self) -> None:
         st = self.state
         roots = {st.find(v) for v in range(st.program.num_vars)}
-        for scc in strongly_connected_components(roots, st.canonical_succ):
-            if len(scc) >= 2:
-                first = scc[0]
-                for other in scc[1:]:
-                    st.union(first, other)
-        self._rebuild_order()
-
-    def _rebuild_order(self) -> None:
-        st = self.state
-        roots = {st.find(v) for v in range(st.program.num_vars)}
         sccs = strongly_connected_components(roots, st.canonical_succ)
-        # Tarjan emits reverse-topologically; walk backwards for a
-        # forward topological order.  (Any SCCs still present belong to
-        # deferred unions; give their members adjacent positions.)
-        self._order = []
-        self._pos = {}
+        for scc in sccs:
+            first = scc[0]
+            for other in scc[1:]:
+                st.union(first, other)
+        # Tarjan emits SCCs in reverse topological order.
+        pos = self._pos
         for scc in reversed(sccs):
-            for node in reversed(scc):
-                if st.find(node) == node:
-                    self._pos[node] = len(self._order)
-                    self._order.append(node)
-        self._dirty = False
+            pos[st.find(scc[0])] = len(pos)
+        preds = self._preds
+        for v in pos:
+            for w in st.canonical_succ(v):
+                preds[w].add(v)
 
     def on_union(self, survivor: int, dead: int) -> None:
-        # Contracting a cycle can invalidate the order; rebuild lazily.
-        slot = self._pos.pop(dead, None)
-        if slot is not None and self._order and self._order[slot] == dead:
-            self._order[slot] = None
-        self._dirty = True
+        # The survivor's position already lies inside the spliced SCC.
+        self._pos.pop(dead, None)
+        dead_preds = self._preds.pop(dead, None)
+        if dead_preds:
+            self._preds[survivor] |= dead_preds
 
     def on_new_edge(self, src: int, dst: int) -> None:
-        if self._dirty:
-            self._rebuild_order()
-        pos = self._pos
-        psrc = pos.get(src)
-        pdst = pos.get(dst)
-        if psrc is None or pdst is None:
-            self._rebuild_order()
-            psrc, pdst = self._pos.get(src), self._pos.get(dst)
-            pos = self._pos
-            if psrc is None or pdst is None:  # pragma: no cover
-                return
-        if psrc < pdst:
-            return  # order-respecting edge: provably acyclic, O(1)
-        # Affected region: nodes reachable from dst with pos ≤ pos[src].
+        self._preds[dst].add(src)
+        if self._deferred is not None:
+            self._deferred.append((src, dst))
+        else:
+            self._insert(src, dst)
+
+    def on_visit(self, n: int) -> None:
+        queued = self._deferred
+        if queued is None:
+            return
+        # The unions of the pending collapse have been applied.
+        self._deferred = None
         st = self.state
-        seen = {dst}
+        for a, b in queued:
+            src, dst = st.find(a), st.find(b)
+            if src == dst or dst not in st.canonical_succ(src):
+                continue  # collapsed away, or elided by PIP addition 4
+            if self._deferred is not None:  # a replay closed a cycle
+                self._deferred.append((src, dst))
+            else:
+                self._insert(src, dst)
+
+    def _insert(self, src: int, dst: int) -> None:
+        """Restore the order after the edge src → dst (Pearce–Kelly).
+
+        Both searches follow only edges that respect the current order.
+        Normally that is every edge but src → dst; during a replay the
+        queued edges not yet placed are skipped too, which is exactly
+        the graph the order is valid for.
+        """
+        pos = self._pos
+        lb, ub = pos[dst], pos[src]
+        if ub < lb:
+            return  # order-respecting edge: provably acyclic, O(1)
+        st = self.state
+        succ = st.canonical_succ
+        fwd = {dst}
         stack = [dst]
-        found = False
         while stack:
             v = stack.pop()
-            if v == src:
-                found = True
-                break
-            for w in st.canonical_succ(v):
-                if w not in seen:
-                    pw = pos.get(w)
-                    if pw is not None and pw <= psrc:
-                        seen.add(w)
-                        stack.append(w)
-        if found:
-            self._collapse_cycle_through(src, dst)
-            self._dirty = True
-            return
-        self._shift(seen, pdst, psrc)
-
-    def _shift(self, reached: Set[int], pdst: int, psrc: int) -> None:
-        """MNR reorder: move the reached set just past src in the order."""
-        order, pos = self._order, self._pos
-        slots: List[int] = []
-        moved: List[int] = []
-        kept: List[int] = []
-        for p in range(pdst, psrc + 1):
-            node = order[p] if p < len(order) else None
-            if node is None:
-                continue
-            slots.append(p)
-            if node in reached:
-                moved.append(node)
-            else:
-                kept.append(node)
-        for p, node in zip(slots, kept + moved):
-            order[p] = node
-            pos[node] = p
+            pv = pos[v]
+            for w in succ(v):
+                if pv < pos[w] <= ub and w not in fwd:
+                    fwd.add(w)
+                    stack.append(w)
+        find = st.find
+        preds = self._preds
+        bwd = {src}
+        stack = [src]
+        while stack:
+            v = stack.pop()
+            pv = pos[v]
+            for u in preds.get(v, ()):
+                x = find(u)
+                if lb <= pos[x] < pv and x not in bwd and v in succ(x):
+                    bwd.add(x)
+                    stack.append(x)
+        # Empty unless src is in δ⁺, i.e. the edge closes a cycle.
+        scc = fwd & bwd
+        key = pos.__getitem__
+        moved = sorted(bwd - scc, key=key) + sorted(scc, key=key)
+        moved += sorted(fwd - scc, key=key)
+        for v, p in zip(moved, sorted(map(key, moved))):
+            pos[v] = p
+        if scc:
+            for other in scc:
+                if other != src:
+                    self.solver.request_union(src, other)
+            self._deferred = []
 
 
 class LazyCycleDetection(CycleDetector):

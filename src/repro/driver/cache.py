@@ -8,21 +8,28 @@ composition.  Each entry stores the canonical solution dict, its solver
 stats, and the measured runtime, so a warm run replays a previous run's
 measurements without a single solver invocation.
 
+Every entry file is a header line followed by the payload's JSON
+text.  The header records the schema and the payload text's sha256, so
+a load verifies the exact bytes it read before decoding them, without
+re-serialising anything.
+
 The cache is *self-healing*: an entry that cannot be parsed, has a
-different schema version, or fails the sanity checks is deleted and
-counted in :attr:`CacheStats.corrupted` — the task is simply re-solved.
-Writes go through a same-directory temp file + ``os.replace`` so a
-killed process never leaves a truncated entry behind.
+different schema version, fails its checksum or fails the sanity checks
+is deleted and counted in :attr:`CacheStats.corrupted` — the task is
+simply re-solved.  Writes go through a same-directory temp file +
+``os.replace`` so a killed process never leaves a truncated entry
+behind.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .tasks import SolveTask, TaskResult
 
@@ -31,7 +38,39 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: bump to invalidate every existing entry (e.g. when the canonical
 #: solution encoding or the stats schema changes shape)
-CACHE_SCHEMA = 2  # 2: SolverStats grew the pair_evals counter
+CACHE_SCHEMA = 3  # 3: header line with the payload checksum
+
+
+def _compact(data: Any) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def encode_entry(header: Dict[str, Any], payload: Dict) -> str:
+    """The text of one entry file: header line, then the payload."""
+    body = _compact(payload)
+    head = dict(header, schema=CACHE_SCHEMA, sha256=_checksum(body))
+    return _compact(head) + "\n" + body
+
+
+def decode_entry(text: str) -> Tuple[Dict[str, Any], Any]:
+    """(header, payload) of one entry file.
+
+    Raises ValueError (or KeyError/TypeError for a malformed header)
+    when the schema differs or the payload text fails its checksum.
+    Compact JSON never contains a raw newline, so the first one ends
+    the header.
+    """
+    head, _, body = text.partition("\n")
+    header = json.loads(head)
+    if header["schema"] != CACHE_SCHEMA:
+        raise ValueError(f"schema {header['schema']} != {CACHE_SCHEMA}")
+    if _checksum(body) != header["sha256"]:
+        raise ValueError("payload checksum mismatch")
+    return header, json.loads(body)
 
 
 @dataclass
@@ -206,12 +245,9 @@ class ResultCache:
         if text is None:
             return None
         try:
-            entry = json.loads(text)
-            if entry["schema"] != CACHE_SCHEMA:
-                raise ValueError(f"schema {entry['schema']} != {CACHE_SCHEMA}")
-            if entry["stage"] != stage:
-                raise ValueError(f"stage {entry['stage']!r} != {stage!r}")
-            payload = entry["payload"]
+            header, payload = decode_entry(text)
+            if header["stage"] != stage:
+                raise ValueError(f"stage {header['stage']!r} != {stage!r}")
             if not isinstance(payload, dict):
                 raise ValueError("payload is not a dict")
             if decode is not None:
@@ -227,22 +263,7 @@ class ResultCache:
     def store_stage(self, stage: str, key: str, payload: Dict) -> None:
         """Persist one stage artifact (atomic same-directory rename)."""
         path = self._stage_path(stage, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"schema": CACHE_SCHEMA, "stage": stage, "payload": payload}
-        text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
+        self._write_entry(path, encode_entry({"stage": stage}, payload))
         stats = self.stats_for(stage)
         stats.stores += 1
         self._prune(self.root / "stages" / stage, path, stats)
@@ -261,9 +282,7 @@ class ResultCache:
         if text is None:
             return None
         try:
-            entry = json.loads(text)
-            if entry["schema"] != CACHE_SCHEMA:
-                raise ValueError(f"schema {entry['schema']} != {CACHE_SCHEMA}")
+            _, entry = decode_entry(text)
             solution = entry["solution"]
             # Sanity: the fields every consumer reads must be present
             # with the right shapes before we trust the entry.
@@ -291,9 +310,7 @@ class ResultCache:
     def store(self, task: SolveTask, result: TaskResult) -> None:
         """Persist one solved result (atomic same-directory rename)."""
         path = self._path(task.cache_key())
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
-            "schema": CACHE_SCHEMA,
             "file": task.file_name,
             "source_hash": task.source_hash,
             "config_key": task.configuration().cache_key,
@@ -301,7 +318,14 @@ class ResultCache:
             "runtime_s": result.runtime_s,
             "solution": result.solution,
         }
-        text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        self._write_entry(path, encode_entry({}, entry))
+        self.stats.stores += 1
+        self._prune(self.root / "solve", path, self.stats)
+
+    @staticmethod
+    def _write_entry(path: pathlib.Path, text: str) -> None:
+        """Write one entry file (atomic same-directory rename)."""
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"
         )
@@ -315,5 +339,3 @@ class ResultCache:
             except FileNotFoundError:
                 pass
             raise
-        self.stats.stores += 1
-        self._prune(self.root / "solve", path, self.stats)

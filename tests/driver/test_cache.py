@@ -192,6 +192,26 @@ class TestCacheBehaviour:
         rewarm, _ = self.solve(task, ResultCache(tmp_path))
         assert rewarm.from_cache
 
+    def test_in_range_tamper_fails_the_checksum(self, tmp_path):
+        """Swapping one E index for another valid one keeps the entry
+        well-typed; only the payload checksum can tell."""
+        cache = ResultCache(tmp_path)
+        task = make_task()
+        cold, _ = self.solve(task, cache)
+        path = cache._path(task.cache_key())
+        head, body = path.read_text().split("\n", 1)
+        entry = json.loads(body)
+        external = entry["solution"]["external"]
+        external[0] = next(i for i in range(len(external) + 1) if i not in external)
+        body = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        path.write_text(head + "\n" + body)
+
+        healed_cache = ResultCache(tmp_path)
+        result, _ = self.solve(task, healed_cache)
+        assert not result.from_cache
+        assert healed_cache.stats.corrupted == 1
+        assert result.solution == cold.solution
+
     def test_duplicate_tasks_are_coalesced(self, tmp_path):
         """Two tasks with the same cache identity (e.g. a configuration
         listed in two overlapping experiment groups) are solved once and

@@ -19,6 +19,7 @@ from repro.analysis import parse_name
 from repro.analysis.constraints import ConstraintProgram
 from repro.analysis.solution import Solution
 from repro.driver import ResultCache
+from repro.driver.cache import encode_entry
 from repro.obs import Registry
 from repro.pipeline import Pipeline
 
@@ -133,12 +134,21 @@ class TestLiveSolution:
 # ----------------------------------------------------------------------
 
 
-def tamper_one(cache_dir, stage, edit):
-    """Rewrite the payload of one (the first) entry of ``stage``."""
+def tamper_one(cache_dir, stage, edit, resign=True):
+    """Rewrite the payload of one (the first) entry of ``stage``.
+
+    By default the entry gets a fresh checksum, so the edit reaches the
+    stage's decoder; ``resign=False`` keeps the old header line.
+    """
     path = sorted((Path(cache_dir) / "stages" / stage).glob("*/*.json"))[0]
-    entry = json.loads(path.read_text())
-    edit(entry["payload"])
-    path.write_text(json.dumps(entry))
+    head, body = path.read_text().split("\n", 1)
+    payload = json.loads(body)
+    edit(payload)
+    if resign:
+        path.write_text(encode_entry({"stage": stage}, payload))
+    else:
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        path.write_text(head + "\n" + body)
 
 
 def dangling_operand(program):
@@ -192,6 +202,31 @@ def test_tampered_stage_entry_heals_through_cli(tmp_path, stage, edit, capsys):
     again = run("again.json")
     assert again["cache"][stage]["corrupted"] == 0
     assert again["solution"] == cold["solution"]
+
+
+def swap_external(payload):
+    """Swap one E index for the smallest index outside E: the entry
+    stays well-typed and in range, so it still decodes."""
+    external = payload["solution"]["external"]
+    external[0] = next(i for i in range(len(external) + 1) if i not in external)
+
+
+def test_in_range_tamper_fails_the_checksum(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+
+    def run(name):
+        out = tmp_path / name
+        argv = ["link", *FILES, "--cache", "--cache-dir", str(cache_dir)]
+        assert main([*argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    cold = run("cold.json")
+    tamper_one(cache_dir, "solve", swap_external, resign=False)
+    healed = run("healed.json")
+    capsys.readouterr()
+    assert healed["cache"]["solve"]["corrupted"] == 1
+    assert healed["cache"]["solve"]["hits"] == 0
+    assert healed["solution"] == cold["solution"]
 
 
 def test_tampered_import_entry_heals(tmp_path):
