@@ -31,8 +31,7 @@ Commands
 ``constraints export FILE...``
     Export C sources as canonical LIR constraint text
     (``repro.interchange``): one file exports its TU constraint
-    program, several export the linked joint program (``--shards``/
-    ``--jobs`` run the sharded link).
+    program, several export the linked joint program.
 ``constraints solve FILE...``
     Solve constraint-text files directly — the second front door that
     bypasses the C frontend.  ``--config``, ``--backend``, ``--reduce``
@@ -101,6 +100,25 @@ def _add_obs_options(parser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer of at least 1.
+
+    A zero or negative value is a usage error (exit 2), not a
+    ValueError traceback from the constructor it would reach.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
 def _write_text_atomic(path: pathlib.Path, text: str) -> None:
     """Write ``text`` to ``path`` without ever exposing a partial file.
 
@@ -139,6 +157,31 @@ def _load_module(path: str, headers_dir: Optional[str]):
         if getattr(exc, "source_name", None) is None:
             exc.source_name = pathlib.Path(path).name
         raise
+
+
+def _member_constraints(pipeline, src, *, lir: bool = False):
+    """``src``'s constraint artifact; a frontend error names the file.
+
+    With ``lir``, ``.lir`` members enter through the interchange front
+    door instead of the C frontend.
+    """
+    try:
+        if lir and src.name.endswith(".lir"):
+            return pipeline.constraints_from_text(src)
+        return pipeline.constraints(src)
+    except FRONTEND_ERRORS as exc:
+        if getattr(exc, "source_name", None) is None:
+            exc.source_name = src.name
+        raise
+
+
+def _link_failed(exc, trace) -> int:
+    """Print a LinkError's diagnostics, close the trace, return 1."""
+    for error in exc.errors:
+        print(f"link error: {error}", file=sys.stderr)
+    if trace is not None:
+        trace.close()
+    return 1
 
 
 def cmd_compile(args) -> int:
@@ -287,52 +330,11 @@ def cmd_link(args) -> int:
         pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
         for f in args.files
     ]
-    shard_stats = None
-    if args.shards:
-        # Sharded path: constraints + per-shard links + merge tree run
-        # as driver-pool jobs (byte-identical named solutions to the
-        # flat path below for any K / jobs value).
-        from .shard import link_sharded
-
-        try:
-            sharded = link_sharded(
-                [(src.name, src.text) for src in sources],
-                args.shards,
-                options=options,
-                jobs=args.jobs,
-                cache=cache,
-                registry=registry,
-                trace=trace,
-            )
-        except LinkError as exc:
-            for error in exc.errors:
-                print(f"link error: {error}", file=sys.stderr)
-            if trace is not None:
-                trace.close()
-            return 1
-        linked = sharded.linked
-        shard_stats = sharded.stats
-        members = None
-        if args.ladder:
-            members = [pipeline.constraints(src) for src in sources]
-    else:
-        members = []
-        for src in sources:
-            try:
-                members.append(pipeline.constraints(src))
-            except FRONTEND_ERRORS as exc:
-                if getattr(exc, "source_name", None) is None:
-                    exc.source_name = src.name
-                raise
-        try:
-            link_art = pipeline.link(members, options)
-        except LinkError as exc:
-            for error in exc.errors:
-                print(f"link error: {error}", file=sys.stderr)
-            if trace is not None:
-                trace.close()
-            return 1
-        linked = link_art.linked
+    members = [_member_constraints(pipeline, src) for src in sources]
+    try:
+        linked = pipeline.link(members, options).linked
+    except LinkError as exc:
+        return _link_failed(exc, trace)
     solution = pipeline.solve(linked.program, config).solution
     if trace is not None:
         trace.emit("link", "+".join(src.name for src in sources),
@@ -347,13 +349,6 @@ def cmd_link(args) -> int:
           f" {summary['joint_vars']} constraint variables,"
           f" {summary['joint_constraints']} constraints,"
           f" configuration {config.name}")
-    if shard_stats is not None:
-        print(f"; sharded: {shard_stats.occupied} shards"
-              f" (of {shard_stats.shards} slots),"
-              f" {shard_stats.rounds} merge rounds,"
-              f" link runs/hits {shard_stats.link_runs}/{shard_stats.link_hits},"
-              f" merge runs/hits"
-              f" {shard_stats.merge_runs}/{shard_stats.merge_hits}")
     resolved = linked.resolved_imports()
     unresolved = linked.unresolved_imports()
     print(f"; {len(resolved)} imports resolved across modules,"
@@ -403,8 +398,6 @@ def cmd_link(args) -> int:
             "solution": solution.to_named_canonical(),
             "stages": pipeline.stage_report(timings=True),
         }
-        if shard_stats is not None:
-            report["shard"] = shard_stats.to_dict()
         if registry is not None:
             report["metrics"] = registry.to_dict()
         if cache is not None:
@@ -469,62 +462,16 @@ def cmd_audit(args) -> int:
     # else through the C frontend.  Constraint-tier clients cover both;
     # IR-tier clients see only the C members.
     ir_sources = [s for s in sources if not s.name.endswith(".lir")]
-    if args.shards and len(ir_sources) != len(sources):
-        print(
-            "repro: error: --shards cannot link .lir members"
-            " (use the flat path)",
-            file=sys.stderr,
-        )
-        return 2
+    members = [
+        _member_constraints(pipeline, src, lir=True) for src in sources
+    ]
     try:
-        if args.shards:
-            from .shard import link_sharded
-
-            sharded = link_sharded(
-                [(src.name, src.text) for src in sources],
-                args.shards,
-                options=options,
-                jobs=args.jobs,
-                cache=cache,
-                registry=registry,
-                trace=trace,
-                member_maps=True,
-            )
-            linked = sharded.linked
-            audit_var_maps = sharded.member_var_maps
-            # Relabel the merge tree's nested name so report metadata
-            # (and the human-readable provenance) is byte-identical to
-            # the flat link for any --shards/--jobs value; content
-            # identity and cache keys ride the named canonical
-            # *solution* digest, which the shard exactness suite locks.
-            linked.program.name = "linked(" + "+".join(
-                src.name for src in sources
-            ) + ")"
-        else:
-            audit_var_maps = None
-            members = []
-            for src in sources:
-                try:
-                    if src.name.endswith(".lir"):
-                        members.append(pipeline.constraints_from_text(src))
-                    else:
-                        members.append(pipeline.constraints(src))
-                except FRONTEND_ERRORS as exc:
-                    if getattr(exc, "source_name", None) is None:
-                        exc.source_name = src.name
-                    raise
-            linked = pipeline.link(members, options).linked
+        linked = pipeline.link(members, options).linked
     except LinkError as exc:
-        for error in exc.errors:
-            print(f"link error: {error}", file=sys.stderr)
-        if trace is not None:
-            trace.close()
-        return 1
+        return _link_failed(exc, trace)
     solution = pipeline.solve(linked.program, config).solution
 
-    context = build_audit_context(
-        pipeline, ir_sources, linked, solution, var_maps=audit_var_maps
-    )
+    context = build_audit_context(pipeline, ir_sources, linked, solution)
     params = {}
     if args.oracle is not None:
         params["oracle"] = args.oracle
@@ -587,60 +534,20 @@ def cmd_constraints_export(args) -> int:
         pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
         for f in args.files
     ]
-    try:
-        if len(sources) == 1:
-            # One file exports its TU constraint program, pre-link:
-            # no linkage escapes, no cross-module resolution.
-            src = sources[0]
-            try:
-                program = pipeline.constraints(src).program
-            except FRONTEND_ERRORS as exc:
-                if getattr(exc, "source_name", None) is None:
-                    exc.source_name = src.name
-                raise
-        elif args.shards:
-            from .shard import link_sharded
-
-            options = LinkOptions(
-                internalize=args.internalize,
-                keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-            )
-            sharded = link_sharded(
-                [(src.name, src.text) for src in sources],
-                args.shards,
-                options=options,
-                jobs=args.jobs,
-                cache=cache,
-                registry=registry,
-                trace=trace,
-            )
-            program = sharded.linked.program
-            # The merge tree nests its label ("linked(linked(a)+…)");
-            # relabel to the flat link's so the canonical text is
-            # byte-identical for any --shards/--jobs value.
-            program.name = "linked(" + "+".join(
-                src.name for src in sources
-            ) + ")"
-        else:
-            options = LinkOptions(
-                internalize=args.internalize,
-                keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-            )
-            members = []
-            for src in sources:
-                try:
-                    members.append(pipeline.constraints(src))
-                except FRONTEND_ERRORS as exc:
-                    if getattr(exc, "source_name", None) is None:
-                        exc.source_name = src.name
-                    raise
+    if len(sources) == 1:
+        # One file exports its TU constraint program, pre-link: no
+        # linkage escapes, no cross-module resolution.
+        program = _member_constraints(pipeline, sources[0]).program
+    else:
+        options = LinkOptions(
+            internalize=args.internalize,
+            keep=tuple(args.keep.split(",")) if args.keep else ("main",),
+        )
+        members = [_member_constraints(pipeline, src) for src in sources]
+        try:
             program = pipeline.link(members, options).linked.program
-    except LinkError as exc:
-        for error in exc.errors:
-            print(f"link error: {error}", file=sys.stderr)
-        if trace is not None:
-            trace.close()
-        return 1
+        except LinkError as exc:
+            return _link_failed(exc, trace)
     text = export_constraint_text(program)
     if trace is not None:
         trace.emit("metrics", "constraints-export", registry.to_dict())
@@ -897,12 +804,6 @@ def cmd_run(args) -> int:
     return runner_main(list(args.args))
 
 
-def cmd_shardbench(args) -> int:
-    from .bench.shardbench import main as shardbench_main
-
-    return shardbench_main(list(args.args))
-
-
 def cmd_configs(args) -> int:
     configs = enumerate_configurations()
     for config in configs:
@@ -920,10 +821,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .bench.runner import main as runner_main
 
         return runner_main(argv[1:])
-    if argv[:1] == ["shardbench"]:
-        from .bench.shardbench import main as shardbench_main
-
-        return shardbench_main(argv[1:])
 
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
@@ -945,7 +842,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         p.add_argument(
             "--cache-max-entries",
-            type=int,
+            type=_positive_int,
             default=None,
             metavar="N",
             help="bound each cache namespace to N entries (LRU eviction;"
@@ -1015,13 +912,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also solve every TU prefix and report the Ω-shrinkage ladder",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="link through K hash-assigned shards and a hierarchical"
-        " merge tree (byte-identical named solutions to the flat link)",
-    )
-    p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sharded path (with --shards)",
+        help="accepted for compatibility; has no effect (the link runs"
+        " in one process)",
     )
     p.add_argument("--show-solution", action="store_true")
     _add_cache_options(p, "stage artifacts")
@@ -1094,14 +987,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         " (default: main)",
     )
     p.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="link through K hash-assigned shards (C members only)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sharded path (with --shards)",
-    )
-    p.add_argument(
         "--format",
         choices=("table", "json"),
         default="table",
@@ -1142,14 +1027,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--keep", default=None,
         help="comma-separated symbols kept external under --internalize"
         " (default: main)",
-    )
-    pe.add_argument(
-        "--shards", type=int, default=None, metavar="K",
-        help="link through K hash-assigned shards (multi-file export)",
-    )
-    pe.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sharded path (with --shards)",
     )
     pe.add_argument(
         "--out", type=pathlib.Path, default=None,
@@ -1208,13 +1085,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             " structured 'timeout' error; default: none)",
         )
         p.add_argument(
-            "--max-request-bytes", type=int, default=None, metavar="N",
+            "--max-request-bytes", type=_positive_int, default=None,
+            metavar="N",
             help="reject request lines longer than N bytes"
             " (default: 1 MiB)",
         )
         p.add_argument(
             "--memo-max-entries", "--memo-entries", dest="memo_entries",
-            type=int, default=1024, metavar="N",
+            type=_positive_int, default=1024, metavar="N",
             help="per-project query-memo capacity, shared across"
             " generations (--memo-entries is the old spelling)",
         )
@@ -1242,7 +1120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         " (the bound address is printed to stderr)",
     )
     p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=_positive_int, default=1, metavar="N",
         help="concurrent query workers; 1 (default) keeps the"
         " sequential one-connection-at-a-time behaviour, more turns"
         " --tcp into a thread-per-connection fleet",
@@ -1277,17 +1155,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="arguments for repro.bench.runner (see its --help)",
     )
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser(
-        "shardbench",
-        help="sharded-link scaling benchmark"
-        " (repro.bench.shardbench pass-through)",
-    )
-    p.add_argument(
-        "args", nargs=argparse.REMAINDER,
-        help="arguments for repro.bench.shardbench (see its --help)",
-    )
-    p.set_defaults(func=cmd_shardbench)
 
     p = sub.add_parser("configs", help="list all valid configurations")
     p.set_defaults(func=cmd_configs)

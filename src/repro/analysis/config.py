@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from .constraints import ConstraintProgram
 from .omega import lower_to_explicit
 from .pts import DEFAULT_PTS_BACKEND, PTS_BACKENDS
-from .solution import Solution
+from .solution import Solution, attach_aliases
 from .solvers.cycles import (
     CombinedDetector,
     CycleDetector,
@@ -331,7 +331,9 @@ def solve_prepared(
                     solution, original, reduction.new2old, reduction.alias_of
                 )
         else:
-            solution.share_representative_sols(reduction.alias_of)
+            attach_aliases(
+                solution._points_to, solution.program, reduction.alias_of
+            )
         st = solution.stats
         st.reduce_vars_merged = (
             reduction.stats.vars_before - reduction.stats.vars_after

@@ -494,12 +494,12 @@ class ConstraintProgram:
         """Rebuild a program from :meth:`to_dict` output.
 
         The payload is validated structurally — this is the entry
-        point for cache artifacts, persisted serve state and shard
-        wire payloads, none of which enjoy the C frontend's
-        well-formedness guarantees.  Mismatched parallel-array
-        lengths, dangling (out-of-range) constraint operands and
-        duplicate symbol names raise :class:`ProgramFormatError`
-        instead of producing a silently-inconsistent program.
+        point for cache artifacts and persisted serve state, neither
+        of which enjoys the C frontend's well-formedness guarantees.
+        Mismatched parallel-array lengths, dangling (out-of-range)
+        constraint operands and duplicate symbol names raise
+        :class:`ProgramFormatError` instead of producing a
+        silently-inconsistent program.
         """
         program = cls(data["name"])
         program.var_names = list(data["var_names"])

@@ -430,13 +430,11 @@ def expand_solution(
 
     Pointer keys, pointee members and the external set are mapped
     through ``new2old``; merged-away pointers (absent from the compact
-    program) then receive their representative's shared frozenset via
-    ``alias_of`` — the reduction proves their class pointer-equivalent
-    (or, for collapsed chains, Sol-over-approximated by the target,
-    observable only outside the named canonical form).
+    program) then get their representative's Sol through
+    :func:`~repro.analysis.solution.attach_aliases`.
     """
     from .pts.intern import InternTable
-    from .solution import Solution
+    from .solution import Solution, attach_aliases
 
     intern = InternTable()
     remapped: Dict[int, FrozenSet] = {}
@@ -449,13 +447,7 @@ def expand_solution(
             )
             remapped[id(s)] = t
         points_to[new2old[pc]] = t
-    in_p, omega = program.in_p, program.omega
-    for q, rep in alias_of.items():
-        # Exactly the pointers extraction materialises (Ω is skipped).
-        if in_p[q] and q != omega and q not in points_to:
-            s = points_to.get(rep)
-            if s is not None:
-                points_to[q] = s
+    attach_aliases(points_to, program, alias_of)
     external = frozenset(new2old[x] for x in compact_sol.external)
     return Solution(program, points_to, external, compact_sol.stats)
 

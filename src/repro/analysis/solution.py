@@ -48,6 +48,35 @@ _OMEGA_WIRE_ONLY = frozenset((OMEGA_WIRE,))
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def attach_aliases(
+    points_to: Dict[int, FrozenSet],
+    program: ConstraintProgram,
+    alias_of: Dict[int, int],
+) -> None:
+    """Give each merged-away pointer its representative's Sol set.
+
+    The offline reduction (:mod:`repro.analysis.reduce`) rewrites all
+    constraints of an equivalence class onto one representative instead
+    of unifying the class in the solver, so extraction leaves the
+    class's Sol on the representative only.  Every other member ``q``
+    (``alias_of[q]`` is its representative) that extraction would
+    materialise — ``in_p``, not Ω — gets the representative's shared
+    frozenset: the reduction proves the class pointer-equivalent (or,
+    for a collapsed chain, Sol-over-approximated by its target,
+    observable only outside the named canonical form).  A class whose
+    representative has no Sol contributes nothing.  A member that keeps
+    its own index because it is a location (in M, ea-flagged) is unified
+    with its representative inside the solver, so it already holds that
+    very set.
+    """
+    in_p, omega = program.in_p, program.omega
+    for q, rep in alias_of.items():
+        if in_p[q] and q != omega:
+            s = points_to.get(rep)
+            if s is not None:
+                points_to[q] = s
+
+
 def _wire_pointees(pointees: FrozenSet) -> List[int]:
     """One Sol set's sorted wire list.  OMEGA becomes
     :data:`OMEGA_WIRE`, which sorts before every (non-negative) index."""
@@ -226,23 +255,6 @@ class Solution:
         """Σ|Sol(p)| over all pointers (full, implicit-expanded solution)."""
         return sum(len(s) for s in self._points_to.values())
 
-    def share_representative_sols(self, alias_of: Dict[int, int]) -> None:
-        """Hand each merged-away pointer its representative's Sol set.
-
-        The offline reduction (:mod:`repro.analysis.reduce`) rewrites
-        all constraints of a register-only equivalence class onto one
-        representative instead of unifying the class in the solver, so
-        after extraction only the representative carries the class's
-        Sol.  This reattaches the shared frozenset to the other members
-        (the reduction proves the class pointer-equivalent, so this *is*
-        their solution).
-        """
-        points_to = self._points_to
-        for q, rep in alias_of.items():
-            s = points_to.get(rep)
-            if s is not None and q in points_to:
-                points_to[q] = s
-
     def rebase(self, program: ConstraintProgram) -> "Solution":
         """The same answer against ``program``.
 
@@ -306,11 +318,7 @@ class Solution:
         Yields ``(name, sorted_pointee_names)`` for every pointer in M,
         ordered by pointer name — exactly the iteration order of
         :meth:`to_named_canonical`'s ``points_to`` dict under
-        ``sort_keys=True``.  The sharded solution store consumes this to
-        spill entries to disk without ever materializing the whole
-        name-keyed dict (full-scale linked programs have far more
-        memory locations than fit comfortably in one mapping alongside
-        the solver state).
+        ``sort_keys=True``.
         """
         named = functools.cache(self._pointee_names)
         for name, pointees in self._named_sets():
@@ -343,13 +351,15 @@ class Solution:
     def named_canonical_digest(self) -> str:
         """sha256 of the canonical JSON encoding of the named form.
 
-        Computed incrementally from :meth:`iter_named_canonical`, never
-        holding the full JSON text, yet byte-equal to::
+        Computed incrementally over the entries of
+        :meth:`iter_named_canonical`, never holding the full JSON text,
+        yet byte-equal to::
 
             hashlib.sha256(json.dumps(self.to_named_canonical(),
                 sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
-        which is the cross-build identity oracle (flat vs sharded link).
+        which is the cross-build identity oracle (one flat link against
+        a staged re-link or an export∘import round trip).
         Each distinct Sol set's JSON bytes are encoded once and hashed
         wherever the set recurs.
         """

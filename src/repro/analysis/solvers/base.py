@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
 from ..constraints import ConstraintProgram
 from ..omega import OMEGA
 from ..pts import InternTable, OpMemo, PTSBackend, get_backend
-from ..solution import Solution, SolverStats
+from ..solution import Solution, SolverStats, attach_aliases
 from ..unionfind import UnionFind
 
 
@@ -335,25 +335,6 @@ class SolverState:
                 by_rep[r] = s
             points_to[p if new2old is None else new2old[p]] = s
         if alias_of is not None:
-            self._fill_aliases(points_to, out_program, alias_of)
+            attach_aliases(points_to, out_program, alias_of)
         self.stats.shared_sets = len(intern)
         return Solution(out_program, points_to, external, self.stats)
-
-    @staticmethod
-    def _fill_aliases(
-        points_to: Dict[int, FrozenSet],
-        out_program: ConstraintProgram,
-        alias_of: Dict[int, int],
-    ) -> None:
-        """Give merged-away pointers their representative's Sol set.
-
-        Exactly the pointers extraction materialises (``in_p``, not Ω)
-        get entries; classes whose representative has no Sol (no pointer
-        member) contribute nothing.
-        """
-        in_p, omega = out_program.in_p, out_program.omega
-        for q, rep in alias_of.items():
-            if in_p[q] and q != omega and q not in points_to:
-                s = points_to.get(rep)
-                if s is not None:
-                    points_to[q] = s

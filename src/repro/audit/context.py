@@ -27,18 +27,13 @@ def build_audit_context(
     linked: LinkedProgram,
     solution: Solution,
     summaries: Optional[Dict[str, SummaryFn]] = None,
-    var_maps: Optional[Dict[str, Sequence[int]]] = None,
 ) -> AuditContext:
     """Audit context over a linked+solved program.
 
     ``ir_sources`` are the *C* members only (callers route ``.lir``
     members around this list).  Bindings are derived lazily — pure
-    constraint-tier clients never pay for re-lowering.  ``var_maps``
-    overrides ``linked.var_maps`` for link paths whose root maps are
-    not member-keyed (the sharded merge tree composes member maps
-    separately — ``link_sharded(..., member_maps=True)``).
+    constraint-tier clients never pay for re-lowering.
     """
-    maps = var_maps if var_maps is not None else linked.var_maps
 
     def load() -> Dict[str, object]:
         from ..serve.project import MemberBinding  # avoid import cycle
@@ -50,7 +45,7 @@ def build_audit_context(
                 module, summaries if summaries is not None else pipeline.summaries
             )
             members[src.name] = MemberBinding(
-                built, maps[src.name], solution
+                built, linked.var_maps[src.name], solution
             )
         return members
 

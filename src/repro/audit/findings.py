@@ -134,9 +134,8 @@ class Report:
     client: str
     params: Dict
     #: the joint program's *name* — the solution digest is the content
-    #: identity; the program digest is link-topology-dependent (flat vs
-    #: sharded joints order variables differently), and reports must be
-    #: byte-identical across ``--shards``/``--jobs``
+    #: identity; the program digest is link-topology-dependent (a staged
+    #: re-link numbers joint variables differently from one flat link)
     program_name: str
     solution_digest: str
     findings: Tuple[Finding, ...] = ()

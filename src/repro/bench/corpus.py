@@ -815,8 +815,7 @@ def plan_profile_program(
         # Bounded sibling sampling: draw up to max_sibling_fns exported
         # callable functions and max_sibling_ptrs shared cells from a
         # few *nearby* units — locality keeps the draw O(1) per unit at
-        # any corpus size while still crossing shard boundaries (shard
-        # assignment hashes names, not positions).
+        # any corpus size.
         seen: List[int] = []
         for d in range(1, min(8, n_files)):
             for j in ((i + d) % n_files, (i - d) % n_files):

@@ -65,10 +65,6 @@ STAGE_VERSIONS = {
     # 2: solution stats gained pair_evals
     # 3: reduce configuration axis; stats gained reduce_*/memo_* fields
     "solve": "3",
-    # sharded cross-TU path (repro.shard): per-shard links and interior
-    # merge-tree nodes, keyed separately from flat "link" entries
-    "shardlink": "1",
-    "shardmerge": "1",
     # audit-client reports over a solved program, keyed on (solution
     # digest, client, canonical params)
     "audit": "1",

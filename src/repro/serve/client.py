@@ -70,7 +70,11 @@ class _ClientBase:
             frame["project"] = target
         reply = self._exchange(encode_frame(frame))
         response = validate_response(json.loads(reply))
-        if response["id"] != request_id:
+        # An error with a null id answers the line just sent: the server
+        # rejects an oversized line before it can parse the id out.
+        if response["id"] != request_id and not (
+            response["id"] is None and not response["ok"]
+        ):
             raise ServeError(
                 "internal",
                 f"response id {response['id']!r} != request id {request_id}",

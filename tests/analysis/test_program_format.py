@@ -1,7 +1,7 @@
 """`ConstraintProgram.from_dict` payload validation (bugfix audit).
 
-``from_dict`` is the entry point for cache artifacts, persisted serve
-state and shard wire payloads — none of which enjoy the C frontend's
+``from_dict`` is the entry point for cache artifacts and persisted
+serve state — neither of which enjoys the C frontend's
 well-formedness guarantees.  A corrupted payload must raise a
 structured :class:`ProgramFormatError` naming the offending field, not
 rebuild a silently-inconsistent program that crashes (or answers

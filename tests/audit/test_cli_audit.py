@@ -88,29 +88,6 @@ class TestAuditCommand:
         assert report["params"]["oracle"] == "andersen"
 
 
-class TestAuditSharding:
-    def test_shards_rejects_lir_members(self, fixture_paths, capsys):
-        leak, lir = fixture_paths("leak.c", "leak.lir")
-        assert main(["audit", "escape", leak, lir, "--shards", "2"]) == 2
-        assert "--shards cannot link .lir" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("client", ["escape", "races", "dangling", "calls"])
-    def test_sharded_report_byte_identical_to_flat(
-        self, client, fixture_paths, tmp_path, capsys
-    ):
-        files = fixture_paths("leak.c", "race.c", "dangling.c")
-        flat_out = tmp_path / "flat.json"
-        shard_out = tmp_path / "shard.json"
-        assert main(["audit", client, *files, "--out", str(flat_out)]) == 0
-        assert main(
-            [
-                "audit", client, *files,
-                "--shards", "2", "--jobs", "2", "--out", str(shard_out),
-            ]
-        ) == 0
-        assert flat_out.read_bytes() == shard_out.read_bytes()
-
-
 class TestAuditCache:
     def test_cold_then_warm_byte_identical(
         self, fixture_paths, tmp_path, capsys

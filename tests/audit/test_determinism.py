@@ -4,7 +4,6 @@ For a fixed (client, oracle), the canonical report must be
 byte-identical across every axis that must not matter:
 
 - points-to backend (``set`` / ``bitset``) × reduce on/off,
-- flat link vs sharded link at any ``--shards`` / ``--jobs``,
 - cold vs warm pipeline cache (and a fresh process over the same
   cache directory, modelled by a fresh ``Pipeline``).
 """
@@ -41,15 +40,6 @@ class TestBackendReduceMatrix:
                 if reference is None:
                     reference = got
                 assert got == reference, f"{client}/{oracle}/{pts}/reduce={reduce_}"
-
-
-class TestShardingJobsInvariance:
-    @pytest.mark.parametrize("client", audit_names())
-    def test_sharded_link_any_jobs_matches_flat(self, client):
-        flat = report_json(client, "combined")
-        for shards, jobs in [(2, 1), (2, 2), (3, 4)]:
-            got = report_json(client, "combined", shards=shards, jobs=jobs)
-            assert got == flat, f"{client} shards={shards} jobs={jobs}"
 
 
 class TestCacheInvariance:

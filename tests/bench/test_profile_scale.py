@@ -16,7 +16,6 @@ from repro.bench.corpus import (
 )
 from repro.link import LinkOptions
 from repro.pipeline import Pipeline
-from repro.shard import link_sharded
 
 #: Table III file counts, pinned independently of corpus.py's table so a
 #: silent edit to either side fails loudly here.
@@ -85,21 +84,21 @@ class TestLinkableProfileProgram:
             generate_c_source(u) for u in c
         ]
 
-    def test_units_link_flat_and_sharded(self):
+    def test_units_link_without_clashes(self):
         """The planner's whole point: unlike specs_for_profile output,
-        the program links — flat and sharded — without symbol clashes."""
+        the program links without symbol clashes."""
         profile = PROFILES["505.mcf"]
         units = plan_profile_program(profile, files_scale=0.5)
-        sources = [(u.name, generate_c_source(u)) for u in units]
         pipeline = Pipeline()
         members = [
-            pipeline.constraints(pipeline.source(n, t)) for n, t in sources
+            pipeline.constraints(
+                pipeline.source(u.name, generate_c_source(u))
+            )
+            for u in units
         ]
-        flat = pipeline.link(members, LinkOptions()).linked
-        sharded = link_sharded(sources, 3)
-        assert len(sharded.linked.program.var_names) == len(
-            flat.program.var_names
-        )
+        linked = pipeline.link(members, LinkOptions()).linked
+        assert linked.summary()["members"] == len(units)
+        assert linked.resolved_imports()
 
     def test_standalone_specs_do_not_link(self):
         """Regression guard for the gap this planner fills: standalone

@@ -52,15 +52,6 @@ class TestConstraintsExport:
         # mk resolves across modules: the joint program carries both TUs
         assert '"mk"' in text and '"backing"' in text
 
-    def test_sharded_export_matches_flat_bytes(self, tu_pair, capsys):
-        assert main(["constraints", "export", *tu_pair]) == 0
-        flat = capsys.readouterr().out
-        assert main(
-            ["constraints", "export", *tu_pair, "--shards", "2",
-             "--jobs", "2"]
-        ) == 0
-        assert capsys.readouterr().out == flat
-
     def test_export_repeats_byte_identically(self, tu_pair, capsys):
         assert main(["constraints", "export", *tu_pair]) == 0
         first = capsys.readouterr().out

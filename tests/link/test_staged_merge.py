@@ -1,10 +1,14 @@
-"""Staged (hierarchical) linking over the re-linkable joint symbol table.
+"""Staged linking over the re-linkable joint symbol table.
 
-The sharded driver leans on exactly the properties proven here: linking
-is associative over the joint table, diagnostics survive through merge
-levels (including the type-conflict case an unprototyped declaration
-could launder), and interior nodes must link *open* — internalizing a
-strict subset of the program changes the answer.
+A linked program keeps its joint symbol table, and the LIR exporter
+writes it as ``.symbol`` lines, so an exported joint ``.lir`` links
+again with more members (``repro audit escape ab.lir c.c d.c``).  That
+front door leans on exactly the properties proven here: linking is
+associative over the joint table, also through an export∘parse round
+trip; diagnostics survive through merge levels (including the
+type-conflict case an unprototyped declaration could launder); and a
+partial link must stay *open* — internalizing a strict subset of the
+program changes the answer.
 """
 
 import json
@@ -12,6 +16,7 @@ import json
 import pytest
 
 from repro.analysis import parse_name, run_configuration
+from repro.interchange import export_constraint_text, parse_constraint_text
 from repro.link import LinkError, LinkOptions, link_programs
 from repro.pipeline import Pipeline
 
@@ -28,6 +33,13 @@ def named_json(program):
         run_configuration(program, CONFIG).to_named_canonical(),
         sort_keys=True,
         separators=(",", ":"),
+    )
+
+
+def reparsed(linked):
+    """A linked program after an export∘parse round trip (``ab.lir``)."""
+    return parse_constraint_text(
+        export_constraint_text(linked.program), "ab.lir"
     )
 
 
@@ -55,8 +67,8 @@ def four_tus():
 
 class TestAssociativity:
     def test_merge_orders_agree_with_flat(self):
-        """Flat, balanced and left-deep merge shapes produce the same
-        named canonical solution (open mode)."""
+        """Flat, balanced, left-deep and exported-then-relinked merge
+        shapes produce the same named canonical solution (open mode)."""
         a, b, c, d = four_tus()
         flat = link_programs([a, b, c, d], LinkOptions())
         ab = link_programs([a, b], LinkOptions())
@@ -64,9 +76,11 @@ class TestAssociativity:
         balanced = link_programs([ab.program, cd.program], LinkOptions())
         abc = link_programs([ab.program, c], LinkOptions())
         left_deep = link_programs([abc.program, d], LinkOptions())
+        relinked = link_programs([reparsed(ab), c, d], LinkOptions())
         oracle = named_json(flat.program)
         assert named_json(balanced.program) == oracle
         assert named_json(left_deep.program) == oracle
+        assert named_json(relinked.program) == oracle
 
     def test_internalize_at_root_only_matches_flat(self):
         a, b, c, d = four_tus()
@@ -75,13 +89,16 @@ class TestAssociativity:
         ab = link_programs([a, b], LinkOptions())
         cd = link_programs([c, d], LinkOptions())
         staged = link_programs([ab.program, cd.program], options)
-        assert named_json(staged.program) == named_json(flat.program)
+        relinked = link_programs([reparsed(ab), c, d], options)
+        oracle = named_json(flat.program)
+        assert named_json(staged.program) == oracle
+        assert named_json(relinked.program) == oracle
 
     def test_interior_internalize_is_unsound(self):
         """Internalizing at an interior node hides ``helper`` and
         ``ap`` from the other half of the tree — the staged result
-        diverges from the flat link (which is exactly why the driver
-        always links interior nodes open)."""
+        diverges from the flat link (which is why a partial link must
+        stay open)."""
         a, b, c, d = four_tus()
         options = LinkOptions(internalize=True, keep=("main",))
         flat = link_programs([a, b, c, d], options)

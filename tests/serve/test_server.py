@@ -85,6 +85,18 @@ class TestDispatchRobustness:
         response = raw(server, big)
         assert response["error"]["code"] == "request_too_large"
 
+    def test_client_takes_null_id_error_as_its_answer(self):
+        # The size gate fires before the id is parsed, so the error
+        # frame carries id null; the client still owns it.
+        server, _ = make_server(max_request_bytes=10)
+        client = InProcessClient(server)
+        response = client.request("ping")
+        assert response["id"] is None
+        assert response["error"]["code"] == "request_too_large"
+        with pytest.raises(ServeError) as exc:
+            client.call("ping")
+        assert exc.value.code == "request_too_large"
+
     def test_unknown_method(self):
         server, _ = make_server()
         response = InProcessClient(server).request("frobnicate")

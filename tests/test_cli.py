@@ -184,62 +184,38 @@ class TestLinkCLI:
         assert main(args) == 0
         capsys.readouterr()
 
-
-class TestShardedLinkCLI:
-    def test_link_shards_matches_flat_output(self, tu_pair, capsys):
+    def test_link_jobs_has_no_effect(self, tu_pair, capsys):
         assert main(["link", *tu_pair, "--show-solution"]) == 0
-        flat = capsys.readouterr().out
+        serial = capsys.readouterr().out
         assert main(
-            ["link", *tu_pair, "--shards", "2", "--jobs", "2",
-             "--show-solution"]
+            ["link", *tu_pair, "--jobs", "2", "--show-solution"]
         ) == 0
-        sharded = capsys.readouterr().out
-        assert "; sharded: " in sharded
-        assert flat.split("\n", 1)[0] == sharded.split("\n", 1)[0]
-        # Resolution provenance names differ (hierarchical links report
-        # their immediate child, e.g. "linked(b.c)"), but the external
-        # set and the solution are identical to the flat run.
-        assert (
-            flat.split("externally accessible:")[1]
-            == sharded.split("externally accessible:")[1]
-        )
+        assert capsys.readouterr().out == serial
 
-    def test_link_shards_report_carries_stats(self, tu_pair, tmp_path, capsys):
-        import json
 
-        report_path = tmp_path / "report.json"
-        cache_dir = tmp_path / "cache"
-        args = [
-            "link", *tu_pair, "--shards", "2", "--cache",
-            "--cache-dir", str(cache_dir), "--out", str(report_path),
-        ]
-        assert main(args) == 0
-        capsys.readouterr()
-        report = json.loads(report_path.read_text())
-        assert report["shard"]["members"] == 2
-        assert report["shard"]["link_runs"] == report["shard"]["occupied"]
-        # Warm rerun: shard artifacts all hit.
-        assert main(args) == 0
-        capsys.readouterr()
-        warm = json.loads(report_path.read_text())
-        assert warm["shard"]["link_runs"] == 0
-        assert warm["shard"]["link_hits"] == report["shard"]["occupied"]
-        assert warm["solution"] == report["solution"]
-
-    def test_link_shards_internalize(self, tu_pair, capsys):
-        assert main(
-            ["link", *tu_pair, "--shards", "3", "--internalize",
-             "--keep", "use"]
-        ) == 0
-        out = capsys.readouterr().out
-        external = out.split("externally accessible:")[1]
-        assert "cell" not in external and "ap" not in external
-
-    def test_shardbench_help_passthrough(self, capsys):
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sweep"], "--cache-max-entries"),
+            (["link"], "--cache-max-entries"),
+            (["audit", "escape"], "--cache-max-entries"),
+            (["constraints", "export"], "--cache-max-entries"),
+            (["constraints", "solve"], "--cache-max-entries"),
+            (["serve"], "--workers"),
+            (["query", "-q", "classify"], "--cache-max-entries"),
+            (["query", "-q", "classify"], "--memo-max-entries"),
+            (["query", "-q", "classify"], "--max-request-bytes"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_must_be_positive(self, argv, option, value, cfile, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["shardbench", "--help"])
-        assert exc.value.code == 0
-        assert "--jobs-sweep" in capsys.readouterr().out
+            main([*argv, cfile, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"must be a positive integer, got {value}" in err
 
 
 class TestVersionAndDiagnostics:
@@ -317,6 +293,16 @@ class TestServeQueryCLI:
         assert main(["query", *tu_pair, "-q", "frobnicate"]) == 1
         response = json.loads(capsys.readouterr().out)
         assert response["error"]["code"] == "unknown_method"
+
+    def test_query_over_request_limit_prints_error_frame(
+        self, tu_pair, capsys
+    ):
+        argv = ["query", *tu_pair, "-q", "classify", "--max-request-bytes",
+                "10"]
+        assert main(argv) == 1
+        response = json.loads(capsys.readouterr().out)
+        assert response["id"] is None
+        assert response["error"]["code"] == "request_too_large"
 
     def test_query_bad_json(self, tu_pair, capsys):
         assert main(["query", *tu_pair, "-q", "{nope"]) == 2
