@@ -88,6 +88,92 @@ class TestAuditCommand:
         assert report["params"]["oracle"] == "andersen"
 
 
+class TestAuditRelink:
+    """``repro constraints export`` writes a joint ``.lir`` that ``repro
+    audit`` links with more members.  The joint solution is the flat
+    link's; IR-tier clients see the C members only."""
+
+    @pytest.fixture
+    def audit_both(self, fixture_paths, tmp_path, capsys):
+        """(flat, relinked) reports of ``client`` over leak.c, race.c and
+        dangling.c, the relinked run taking leak.c+race.c as one
+        exported joint program."""
+        leak, race, dangling = fixture_paths("leak.c", "race.c", "dangling.c")
+        joint = tmp_path / "leak+race.lir"
+        assert main(
+            ["constraints", "export", leak, race, "--out", str(joint)]
+        ) == 0
+
+        def run(client, *extra):
+            flat_out = tmp_path / "flat.json"
+            relinked_out = tmp_path / "relinked.json"
+            assert main(
+                ["audit", client, leak, race, dangling, *extra,
+                 "--out", str(flat_out)]
+            ) == 0
+            assert main(
+                ["audit", client, str(joint), dangling, *extra,
+                 "--out", str(relinked_out)]
+            ) == 0
+            capsys.readouterr()
+            return (
+                json.loads(flat_out.read_text()),
+                json.loads(relinked_out.read_text()),
+            )
+
+        return run
+
+    @pytest.mark.parametrize("client", ["escape", "races", "dangling", "calls"])
+    def test_relinked_solution_matches_flat(self, client, audit_both):
+        flat, relinked = audit_both(client)
+        assert relinked["solution"] == flat["solution"]
+        assert flat["program"] == "linked(leak.c+race.c+dangling.c)"
+        assert relinked["program"] == "linked(linked(leak.c+race.c)+dangling.c)"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--internalize"], ["--reduce"], ["--pts-backend", "bitset"]],
+        ids=["open", "internalize", "reduce", "bitset"],
+    )
+    def test_escape_report_survives_relink(self, extra, audit_both):
+        flat, relinked = audit_both("escape", *extra)
+        assert flat["counts"]["total"] == 3
+        del flat["program"], relinked["program"]
+        assert relinked == flat
+
+    def test_ir_tier_keeps_c_member_findings(self, audit_both):
+        flat, relinked = audit_both("dangling")
+        assert flat["counts"]["total"] == 2
+        assert relinked["findings"] == flat["findings"]
+
+    def test_ir_tier_loses_lir_member_findings(self, audit_both):
+        """race.c's race candidate needs race.c's IR, which the joint
+        ``.lir`` does not carry."""
+        flat, relinked = audit_both("races")
+        assert flat["counts"]["total"] == 1
+        assert relinked["counts"]["total"] == 0
+
+    @pytest.mark.parametrize("client", ["escape", "calls"])
+    def test_whole_program_lir_alone(
+        self, client, fixture_paths, tmp_path, capsys
+    ):
+        """Constraint-tier clients run over one exported whole program
+        as over its C sources."""
+        files = fixture_paths("leak.c", "race.c", "dangling.c")
+        joint = tmp_path / "all.lir"
+        assert main(
+            ["constraints", "export", *files, "--out", str(joint)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["audit", client, *files, "--format", "json"]) == 0
+        flat = json.loads(capsys.readouterr().out)
+        assert main(["audit", client, str(joint), "--format", "json"]) == 0
+        relinked = json.loads(capsys.readouterr().out)
+        assert relinked["program"] == "linked(linked(leak.c+race.c+dangling.c))"
+        assert relinked["solution"] == flat["solution"]
+        assert relinked["counts"] == flat["counts"]
+
+
 class TestAuditCache:
     def test_cold_then_warm_byte_identical(
         self, fixture_paths, tmp_path, capsys

@@ -184,11 +184,16 @@ class TestLinkCLI:
         assert main(args) == 0
         capsys.readouterr()
 
-    def test_link_jobs_has_no_effect(self, tu_pair, capsys):
-        assert main(["link", *tu_pair, "--show-solution"]) == 0
+    @pytest.mark.parametrize("jobs", ["2", "8"])
+    @pytest.mark.parametrize(
+        "mode", [[], ["--internalize", "--keep", "use"]],
+        ids=["open", "internalize"],
+    )
+    def test_link_jobs_has_no_effect(self, mode, jobs, tu_pair, capsys):
+        assert main(["link", *tu_pair, *mode, "--show-solution"]) == 0
         serial = capsys.readouterr().out
         assert main(
-            ["link", *tu_pair, "--jobs", "2", "--show-solution"]
+            ["link", *tu_pair, *mode, "--jobs", jobs, "--show-solution"]
         ) == 0
         assert capsys.readouterr().out == serial
 
