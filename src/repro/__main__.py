@@ -68,6 +68,8 @@ from typing import List, Optional
 from . import __version__
 from .analysis import (
     DEFAULT_CONFIGURATION,
+    Configuration,
+    ConfigurationError,
     analyze_module,
     build_constraints,
     enumerate_configurations,
@@ -117,6 +119,25 @@ def _positive_int(text: str) -> int:
             f"must be a positive integer, got {value}"
         )
     return value
+
+
+def _configuration(text: str) -> Configuration:
+    """argparse type for configuration names: the parsed Configuration.
+
+    An unknown or invalid name is a usage error (exit 2), not a
+    ConfigurationError traceback from the command it would reach.
+    """
+    try:
+        return parse_name(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_config_option(parser) -> None:
+    parser.add_argument(
+        "--config", type=_configuration, default=DEFAULT_CONFIGURATION,
+        help="e.g. IP+WL(FIFO)+PIP",
+    )
 
 
 def _write_text_atomic(path: pathlib.Path, text: str) -> None:
@@ -192,7 +213,7 @@ def cmd_compile(args) -> int:
 
 def cmd_analyze(args) -> int:
     module = _load_module(args.file, args.include)
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
+    config = args.config
     if args.pts_backend:
         config = dataclasses.replace(config, pts=args.pts_backend)
     if args.reduce:
@@ -231,7 +252,7 @@ def cmd_sweep(args) -> int:
 
     path = pathlib.Path(args.file)
     source = path.read_text()
-    names = args.configs or [
+    names = [config.name for config in args.configs] or [
         "EP+Naive",
         "EP+OVS+WL(LRF)+OCD",
         "IP+WL(FIFO)",
@@ -313,7 +334,7 @@ def cmd_link(args) -> int:
     from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
+    config = args.config
     options = LinkOptions(
         internalize=args.internalize,
         keep=tuple(args.keep.split(",")) if args.keep else ("main",),
@@ -430,7 +451,7 @@ def cmd_audit(args) -> int:
     from .link import LinkError, LinkOptions
     from .pipeline import Pipeline
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
+    config = args.config
     if args.pts_backend:
         config = dataclasses.replace(config, pts=args.pts_backend)
     if args.reduce:
@@ -575,7 +596,7 @@ def cmd_constraints_solve(args) -> int:
     )
     from .interchange import parse_constraint_text
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
+    config = args.config
     if args.reduce:
         config = dataclasses.replace(config, reduce=True)
     tasks = []
@@ -679,7 +700,6 @@ def _serve_components(args):
     from .link import LinkOptions
     from .serve import DEFAULT_MAX_REQUEST_BYTES, AnalysisServer, Project
 
-    config = parse_name(args.config) if args.config else DEFAULT_CONFIGURATION
     options = LinkOptions(
         internalize=args.internalize,
         keep=tuple(args.keep.split(",")) if args.keep else ("main",),
@@ -690,7 +710,7 @@ def _serve_components(args):
         else None
     )
     registry, trace = _obs_setup(args)
-    project = Project(config, options, cache=cache, registry=registry)
+    project = Project(args.config, options, cache=cache, registry=registry)
     server = AnalysisServer(
         project,
         timeout=args.timeout,
@@ -857,7 +877,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("analyze", help="run the points-to analysis")
     p.add_argument("file")
     p.add_argument("--include", default=None)
-    p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
+    _add_config_option(p)
     p.add_argument(
         "--pts-backend",
         choices=("set", "bitset"),
@@ -887,14 +907,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _add_cache_options(p, "solved results")
     _add_obs_options(p)
-    p.add_argument("configs", nargs="*", default=None)
+    p.add_argument("configs", nargs="*", type=_configuration)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
         "link", help="link several translation units and solve jointly"
     )
     p.add_argument("files", nargs="+", metavar="FILE")
-    p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
+    _add_config_option(p)
     p.add_argument(
         "--internalize",
         action="store_true",
@@ -939,7 +959,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "files", nargs="+", metavar="FILE",
         help="C translation units and/or .lir constraint-text files",
     )
-    p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
+    _add_config_option(p)
     p.add_argument(
         "--pts-backend",
         choices=("set", "bitset"),
@@ -1041,7 +1061,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="solve constraint-text files directly (no C frontend)",
     )
     ps.add_argument("files", nargs="+", metavar="FILE")
-    ps.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
+    _add_config_option(ps)
     ps.add_argument(
         "--pts-backend", "--backend",
         dest="pts_backend",
@@ -1068,7 +1088,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ps.set_defaults(func=cmd_constraints_solve)
 
     def _add_serve_options(p) -> None:
-        p.add_argument("--config", default=None, help="e.g. IP+WL(FIFO)+PIP")
+        _add_config_option(p)
         p.add_argument(
             "--internalize",
             action="store_true",

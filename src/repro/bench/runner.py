@@ -256,6 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import pathlib
     import time
 
+    from ..__main__ import _configuration, _positive_int
     from .report import table5, table6
     from .suite import build_corpus, flatten
 
@@ -273,12 +274,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cache-dir", type=pathlib.Path, default=pathlib.Path(".repro-cache")
     )
     parser.add_argument(
-        "--cache-max-entries", type=int, default=None, metavar="N",
+        "--cache-max-entries", type=_positive_int, default=None, metavar="N",
         help="bound each cache namespace to N entries (LRU eviction;"
         " default: unbounded)",
     )
     parser.add_argument(
-        "--configs", nargs="*", default=None,
+        "--configs", nargs="*", type=_configuration, default=[],
         help=f"configuration names (default: {' '.join(TABLE5_CONFIGS)})",
     )
     parser.add_argument("--profiles", nargs="*", default=None)
@@ -344,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         results = run_experiment(
             files,
-            args.configs or TABLE5_CONFIGS,
+            [config.name for config in args.configs] or TABLE5_CONFIGS,
             repetitions=args.repetitions,
             pts_backend=args.pts_backend,
             jobs=args.jobs,
@@ -393,8 +394,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             n_units=args.ladder,
             unit_size=args.ladder_size,
         )
-        ladder_config = parse_name(
-            (args.configs or [DEFAULT_CONFIG_NAME])[0]
+        ladder_config = (
+            args.configs[0] if args.configs else parse_name(DEFAULT_CONFIG_NAME)
         )
         report = run_ladder(spec, ladder_config, cache=cache)
         print(f"\nincremental completeness ({spec.name},"

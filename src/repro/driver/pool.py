@@ -1,8 +1,8 @@
 """The parallel analysis driver: fan tasks out, merge deterministically.
 
-:func:`solve_tasks` is the single entry point every harness goes
-through (``repro.bench.runner``, ``repro.bench.solverbench``, the
-``sweep`` CLI):
+:func:`solve_tasks` is the single entry point for batch solving
+(``repro.bench.runner``, ``repro sweep`` and ``repro constraints
+solve``):
 
 1. Look every task up in the on-disk cache (when enabled) — warm tasks
    never reach a worker, let alone a solver.

@@ -20,8 +20,7 @@ alias/points-to oracle (docs/internals.md §11):
   transports and the matching clients.
 
 Surfaced on the command line as ``repro serve`` (persistent) and
-``repro query`` (one-shot, byte-identical answers); load-tested by
-``repro.bench.servebench``.
+``repro query`` (one-shot, byte-identical answers).
 """
 
 from .client import InProcessClient, ServeClient, ServeError

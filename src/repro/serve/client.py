@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import socket
 import subprocess
-import sys
 from typing import Dict, Optional
 
 from .protocol import PROTOCOL_SCHEMA, encode_frame, validate_response
@@ -183,8 +182,3 @@ class ServeClient(_ClientBase):
             except subprocess.TimeoutExpired:  # pragma: no cover
                 self._process.kill()
                 self._process.wait()
-
-
-def default_serve_argv(*extra: str) -> list:
-    """argv for spawning this interpreter's ``repro serve``."""
-    return [sys.executable, "-m", "repro", "serve", *extra]

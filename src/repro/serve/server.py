@@ -687,8 +687,7 @@ def serve_tcp(
 
     With ``server.workers == 1`` connections are served **sequentially**
     in arrival order — the single-worker baseline, preserved exactly for
-    clients that depend on strict cross-connection ordering (and
-    measured as the control by ``repro.bench.servebench``).  With more
+    clients that depend on strict cross-connection ordering.  With more
     workers, every connection gets its own reader thread and requests
     fan out across the worker pool: per-connection order is preserved,
     cross-connection requests interleave.

@@ -1,6 +1,7 @@
 """CLI tests (python -m repro)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -211,16 +212,57 @@ class TestNumericOptions:
             (["query", "-q", "classify"], "--cache-max-entries"),
             (["query", "-q", "classify"], "--memo-max-entries"),
             (["query", "-q", "classify"], "--max-request-bytes"),
+            (["run"], "--cache-max-entries"),
         ],
     )
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_counts_must_be_positive(self, argv, option, value, cfile, capsys):
+        # ``run`` takes no C file: it generates its corpus.
+        files = [] if argv == ["run"] else [cfile]
         with pytest.raises(SystemExit) as exc:
-            main([*argv, cfile, option, value])
+            main([*argv, *files, option, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"must be a positive integer, got {value}" in err
+
+
+class TestConfigurationNames:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "{c}", "--config", "NOPE"],
+             "cannot parse configuration part 'NOPE'"),
+            (["link", "{c}", "--config", "IP+WL(XYZ)"],
+             "unknown iteration order 'XYZ'"),
+            (["sweep", "{c}", "IP+Naive+PIP"],
+             "online techniques require the WL solver"),
+            (["audit", "escape", "{c}", "--config", "EP+PIP"],
+             "incomplete configuration name 'EP+PIP'"),
+            (["constraints", "solve", "{lir}", "--config", "IP+Bogus"],
+             "cannot parse configuration part 'Bogus'"),
+            (["query", "{c}", "-q", "classify", "--config", "NOPE"],
+             "cannot parse configuration part 'NOPE'"),
+            (["serve", "--stdio", "--config", "NOPE"],
+             "cannot parse configuration part 'NOPE'"),
+            (["run", "--configs", "NOPE"],
+             "cannot parse configuration part 'NOPE'"),
+        ],
+        ids=[
+            "analyze", "link", "sweep", "audit", "constraints-solve",
+            "query", "serve", "run",
+        ],
+    )
+    def test_bad_name_is_a_usage_error(self, argv, message, cfile, capsys):
+        lir = pathlib.Path(__file__).parent / "audit/fixtures/leak.lir"
+        argv = [arg.format(c=cfile, lir=lir) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestVersionAndDiagnostics:
@@ -360,3 +402,58 @@ class TestServeQueryCLI:
         assert [e["name"] for e in events] == [
             "<invalid>", "ping", "open", "points_to", "shutdown"
         ]
+
+    def test_serve_tcp_restarts_from_state_dir(self, tmp_path):
+        """``serve --tcp --state-dir DIR FILE`` persists its startup
+        generation; a restart from DIR alone answers the same bytes."""
+        import select
+        import subprocess
+        import sys
+
+        from repro.serve import ServeClient, encode_frame
+
+        source = tmp_path / "smoke.c"
+        source.write_text(
+            "int *gp; int x;\n"
+            "void set(int *p) { gp = p; }\n"
+            "int main(void) { set(&x); return *gp; }\n"
+        )
+        state_dir = tmp_path / "state"
+
+        def session(*files):
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve",
+                 "--tcp", "127.0.0.1:0", "--workers", "2",
+                 "--state-dir", str(state_dir), *files],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+            try:
+                # The banner is printed once the startup build is done.
+                assert select.select([process.stderr], [], [], 120)[0]
+                banner = process.stderr.readline()
+                assert "listening on" in banner, banner
+                host, _, port = banner.split()[-1].rpartition(":")
+                with ServeClient.connect_tcp(host, int(port)) as client:
+                    answers = [
+                        encode_frame(client.request("points_to", {"var": "gp"})),
+                        encode_frame(client.request("classify")),
+                    ]
+                    status = client.call("status")
+                    client.shutdown()
+                _, err = process.communicate(timeout=60)
+                assert process.returncode == 0, err
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()
+            return answers, status
+
+        cold, cold_status = session(str(source))
+        warm, warm_status = session()
+        assert warm == cold
+        assert json.loads(cold[0])["generation"] == 1
+        assert "x" in json.loads(cold[0])["result"]["pointees"]
+        assert cold_status["state"]["saves"] == 1
+        assert warm_status["open"] and warm_status["generation"] == 1
+        assert warm_status["state"]["loads"] == 1
+        assert warm_status["state"]["saves"] == 0
