@@ -310,7 +310,7 @@ def cmd_sweep(args) -> int:
         pointees = result.explicit_pointees
         print(f"{result.config_name:>24}  {1000 * result.runtime_s:8.2f}ms"
               f"  {pointees:18,d}")
-    validate_agreement(results)
+    validate_agreement(results, tasks, contexts)
     print("\nall configurations produced the identical solution")
     if args.cache or args.jobs > 1:
         print(stats)

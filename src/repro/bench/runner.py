@@ -227,7 +227,7 @@ def run_experiment(
         trace=trace,
     )
     if validate:
-        validate_agreement(task_results)
+        validate_agreement(task_results, tasks, contexts)
 
     profiles = {file.spec.name: _profile_of(file) for file in files}
     results = RunResults(driver=driver_stats)

@@ -247,14 +247,16 @@ def _run_serial(
     tasks: Sequence[SolveTask], contexts: Dict[str, FileContext]
 ) -> List[TaskResult]:
     """In-process execution (the historical serial path, unchanged)."""
-    out: List[TaskResult] = []
-    for task in tasks:
-        context = contexts.get(task.source_hash)
-        if context is None:
-            context = context_for(task)
-            contexts[task.source_hash] = context
-        out.append(execute_task(task, context))
-    return out
+    return [execute_task(task, _context(task, contexts)) for task in tasks]
+
+
+def _context(task: SolveTask, contexts: Dict[str, FileContext]) -> FileContext:
+    """``task``'s file context from ``contexts``, derived and added if absent."""
+    context = contexts.get(task.source_hash)
+    if context is None:
+        context = context_for(task)
+        contexts[task.source_hash] = context
+    return context
 
 
 def _run_pool(
@@ -283,7 +285,11 @@ def _run_pool(
 # ----------------------------------------------------------------------
 
 
-def validate_agreement(results: Sequence[TaskResult]) -> None:
+def validate_agreement(
+    results: Sequence[TaskResult],
+    tasks: Sequence[SolveTask],
+    contexts: Optional[Dict[str, FileContext]] = None,
+) -> None:
     """Assert every configuration of a file produced the same solution.
 
     The serial runner validated each solution against the file's first
@@ -291,14 +297,29 @@ def validate_agreement(results: Sequence[TaskResult]) -> None:
     check runs at merge time, on the canonical wire dicts (stats are
     excluded — only points-to sets and the external set define solution
     identity, exactly like ``Solution.__eq__``).
+
+    Two configurations that differ on the Reduce axis agree on the
+    memory locations (in M) and the external set only: reduction may
+    widen the Sol of a collapsed temporary (internals §13).  Their
+    comparison reads M from the file's program, taken from ``contexts``
+    or re-derived the way a serial task derives it.
     """
+    task_at = {task.index: task for task in tasks}
+    contexts = {} if contexts is None else contexts
     reference: Dict[str, TaskResult] = {}
     for result in results:
         ref = reference.setdefault(result.file_name, result)
         if ref is result:
             continue
+        ref_points_to = ref.solution["points_to"]
+        points_to = result.solution["points_to"]
+        task = task_at[result.index]
+        if task_at[ref.index].configuration().reduce != task.configuration().reduce:
+            in_m = _context(task, contexts).program.in_m
+            ref_points_to = [entry for entry in ref_points_to if in_m[entry[0]]]
+            points_to = [entry for entry in points_to if in_m[entry[0]]]
         if (
-            ref.solution["points_to"] != result.solution["points_to"]
+            ref_points_to != points_to
             or ref.solution["external"] != result.solution["external"]
         ):
             raise AssertionError(

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple, Callable
 from ..ir import types as ty
 from . import ast_nodes as ast
 from .lexer import Token, tokenize
+from .sema import sizeof_type
 
 
 class ParseError(SyntaxError):
@@ -63,8 +64,11 @@ class Parser:
     # ------------------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # ``next`` never moves past the eof token, so only a lookahead
+        # can run off the end.
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -264,6 +268,12 @@ class Parser:
                 name, dtype, _ = self._declarator(base)
                 if self.accept(":"):
                     raise self.error("bit-fields are not supported")
+                try:
+                    # A member needs a complete object type (C 6.7.2.1p3),
+                    # so no struct can contain itself.
+                    dtype.sizeof()
+                except TypeError as exc:
+                    raise self.error(f"member {name!r} has no size: {exc}") from None
                 fields.append((name, dtype))
                 if not self.accept(","):
                     break
@@ -620,14 +630,19 @@ class Parser:
         ["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="],
         ["<", ">", "<=", ">="], ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
     ]
+    #: binary operator → its level in ``_BINARY_LEVELS`` (higher binds tighter)
+    _BINARY_PRECEDENCE = {
+        op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops
+    }
 
-    def _binary_expression(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._cast_expression()
-        lhs = self._binary_expression(level + 1)
+    def _binary_expression(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over ``_BINARY_LEVELS``, all left-associative:
+        the operators of level ``min_level`` and above."""
+        lhs = self._cast_expression()
         while True:
             tok = self.peek()
-            if tok.kind != "punct" or tok.text not in self._BINARY_LEVELS[level]:
+            level = self._BINARY_PRECEDENCE.get(tok.text, -1)
+            if level < min_level or tok.kind != "punct":
                 return lhs
             self.next()
             rhs = self._binary_expression(level + 1)
@@ -674,12 +689,15 @@ class Parser:
         expr = self._primary_expression()
         while True:
             tok = self.peek()
-            if self.at("["):
+            if tok.kind != "punct":
+                return expr
+            text = tok.text
+            if text == "[":
                 self.next()
                 index = self._expression()
                 self.expect("]")
                 expr = ast.Index(expr, index, tok.line)
-            elif self.at("("):
+            elif text == "(":
                 self.next()
                 args: List[ast.Expr] = []
                 while not self.at(")"):
@@ -688,20 +706,13 @@ class Parser:
                         break
                 self.expect(")")
                 expr = ast.CallExpr(expr, args, tok.line)
-            elif self.at("."):
+            elif text == "." or text == "->":
                 self.next()
                 name = self.next()
-                expr = ast.Member(expr, name.text, False, tok.line)
-            elif self.at("->"):
+                expr = ast.Member(expr, name.text, text == "->", tok.line)
+            elif text == "++" or text == "--":
                 self.next()
-                name = self.next()
-                expr = ast.Member(expr, name.text, True, tok.line)
-            elif self.at("++"):
-                self.next()
-                expr = ast.Unary("p++", expr, tok.line)
-            elif self.at("--"):
-                self.next()
-                expr = ast.Unary("p--", expr, tok.line)
+                expr = ast.Unary("p++" if text == "++" else "p--", expr, tok.line)
             else:
                 return expr
 
@@ -739,8 +750,8 @@ class Parser:
         if isinstance(expr, ast.CharLiteral):
             return expr.value
         if isinstance(expr, ast.SizeofType):
-            return expr.target_type.ctype.sizeof()
-        if isinstance(expr, ast.Unary):
+            return sizeof_type(expr.target_type.ctype, expr.line)
+        if isinstance(expr, ast.Unary) and expr.op in ("-", "+", "~", "!"):
             v = self._const_eval(expr.operand)
             return {
                 "-": -v, "+": v, "~": ~v, "!": int(not v)

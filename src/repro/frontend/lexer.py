@@ -4,12 +4,21 @@ Tokenises a C translation unit (after preprocessing) into a stream of
 :class:`Token`.  Covers the full C89 operator/punctuation set plus the
 C99/C11 keywords the parser understands.  Comments are handled here so
 the preprocessor can stay line-oriented.
+
+Two compiled patterns do the work.  Per token, one ``match`` skips the
+trivia (whitespace and comments) and one ``match`` of the master
+pattern picks the token's named alternative.  Line and column come
+from counting the newlines in the skipped spans.  The trivia has its
+own call so that the token pattern can never backtrack into a comment
+and re-read its ``/`` as division.  The patterns avoid atomic groups
+and possessive quantifiers, which need Python 3.11.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Tuple
 
 KEYWORDS = {
     "auto", "break", "case", "char", "const", "continue", "default", "do",
@@ -79,7 +88,7 @@ def _decode_escapes(body: str, line: int, col: int) -> str:
                 raise LexError("bad hex escape", line, col)
             out.append(chr(int(body[i + 1 : j], 16) & 0xFF))
             i = j
-        elif esc.isdigit():
+        elif esc in "01234567":
             j = i
             while j < len(body) and j < i + 3 and body[j] in "01234567":
                 j += 1
@@ -90,176 +99,178 @@ def _decode_escapes(body: str, line: int, col: int) -> str:
     return "".join(out)
 
 
-class Lexer:
-    def __init__(self, source: str, filename: str = "<source>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _bad_digit(digit: str, line: int, col: int) -> LexError:
+    return LexError(f"invalid digit {digit!r} in numeric constant", line, col)
 
-    # ------------------------------------------------------------------
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.col)
+def number_token(text: str, body: str, is_float: bool, line: int, col: int) -> Token:
+    """The token for the numeric literal ``text``: ``body`` plus suffix.
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
+    ``is_float`` says the body has a fraction or an exponent.  A leading
+    ``0`` makes an integer octal (C 6.4.4.1); a float stays decimal.
+    Literals that are not C constants raise :class:`LexError` at the
+    literal: octal ``8``/``9``, ``0x`` with no digit, an ``f`` suffix on
+    a hexadecimal integer and any non-ASCII digit.
+    """
+    if not body.isascii():
+        raise _bad_digit(next(c for c in body if not c.isascii()), line, col)
+    suffix = text[len(body):]
+    if body[:2] in ("0x", "0X"):
+        if len(body) == 2:
+            raise LexError(f"hexadecimal constant {text!r} has no digits", line, col)
+        if "f" in suffix or "F" in suffix:
+            raise LexError(f"invalid suffix {suffix!r} on hexadecimal constant", line, col)
+        return Token("int", text, line, col, value=int(body, 16))
+    if is_float or "f" in suffix or "F" in suffix:
+        return Token("float", text, line, col, value=float(body))
+    if body[0] == "0":
+        for digit in body:
+            if digit in "89":
+                raise LexError(f"invalid digit {digit!r} in octal constant", line, col)
+        return Token("int", text, line, col, value=int(body, 8))
+    return Token("int", text, line, col, value=int(body))
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
+_SPACE = r"[ \t\r\n\f\v]"
+#: whitespace, ``//`` and ``/* */`` comments; an unterminated ``/*`` is
+#: left in place for the ``open_comment`` alternative
+_TRIVIA = re.compile(
+    rf"{_SPACE}*(?:(?://[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/){_SPACE}*)*"
+)
+_TOKEN = re.compile(
+    r"(?P<id>[A-Za-z_]\w*)"
+    + r"|(?P<hex>(?P<hex_body>0[xX][0-9a-fA-F]*)[uUlLfF]*)"
+    + r"|(?P<number>(?P<body>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+    + r"(?:[eE][+-]?[0-9]+)?)[uUlLfF]*)"
+    + r"|(?P<open_comment>/\*)"
+    # "." before a non-ASCII character, which may be a digit
+    + r"|(?P<dot>\.(?=[^\x00-\x7f]))"
+    + "|(?P<punct>" + "|".join(map(re.escape, PUNCTUATION)) + ")"
+    + r'|(?P<string>")'
+    + r"|(?P<char>')"
+    # a non-ASCII word start: a letter, or else a digit or numeral
+    + r"|(?P<word>[^\W\d]\w*)"
+    + r"|(?P<eof>\Z)"
+    + r"|(?P<other>[\s\S])"
+)
+#: a string or character literal's body from after its opening quote up
+#: to its closing quote, or up to the newline or end where it stops
+_STRING_BODY = re.compile(r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*')
+_CHAR_BODY = re.compile(r"[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*")
 
-    # ------------------------------------------------------------------
 
-    def tokens(self) -> List[Token]:
-        out: List[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
+def _error_at(source: str, offset: int, message: str) -> LexError:
+    line = source.count("\n", 0, offset) + 1
+    return LexError(message, line, offset - source.rfind("\n", 0, offset))
 
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self.line, self.col
-        ch = self._peek()
-        if not ch:
-            return Token("eof", "", line, col)
-        if ch.isalpha() or ch == "_":
-            return self._identifier(line, col)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(line, col)
-        if ch == '"':
-            return self._string(line, col)
-        if ch == "'":
-            return self._char(line, col)
-        for punct in PUNCTUATION:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token("punct", punct, line, col)
-        raise self._error(f"unexpected character {ch!r}")
 
-    # ------------------------------------------------------------------
+def _quoted_body(source: str, start: int, body: "re.Pattern[str]", what: str) -> int:
+    """End of the literal body after the quote at ``start``."""
+    end = body.match(source, start + 1).end()
+    if end < len(source) and source[end] == source[start]:
+        return end
+    if end < len(source) and source[end] == "\n":
+        raise _error_at(source, end, f"unterminated {what}")
+    # end of input, possibly after a final backslash
+    raise _error_at(source, len(source), f"unterminated {what}")
 
-    def _identifier(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = "keyword" if text in KEYWORDS else "id"
-        return Token(kind, text, line, col)
 
-    def _number(self, line: int, col: int) -> Token:
-        start = self.pos
-        src = self.source
-        is_float = False
-        if src.startswith(("0x", "0X"), self.pos):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-        else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() and self._peek() in "eE" and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() and self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        body = src[start : self.pos]
-        # Suffixes.
-        suffix_start = self.pos
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        suffix = src[suffix_start : self.pos].lower()
-        text = src[start : self.pos]
-        if is_float or "f" in suffix:
-            return Token("float", text, line, col, value=float(body))
-        value = int(body, 0)
-        return Token("int", text, line, col, value=value)
+def _string(source: str, start: int, line: int, col: int) -> Tuple[Token, int]:
+    """Adjacent string literals concatenate: the token and its end."""
+    pieces: List[str] = []
+    pos = start
+    while source.startswith('"', pos):
+        end = _quoted_body(source, pos, _STRING_BODY, "string literal")
+        pieces.append(source[pos + 1 : end])
+        pos = _TRIVIA.match(source, end + 1).end()
+        if source.startswith("/*", pos):
+            raise _error_at(source, len(source), "unterminated block comment")
+    body = "".join(pieces)
+    token = Token("string", f'"{body}"', line, col, value=_decode_escapes(body, line, col))
+    return token, pos
 
-    def _string(self, line: int, col: int) -> Token:
-        # Adjacent string literals concatenate.
-        pieces: List[str] = []
-        while self._peek() == '"':
-            self._advance()
-            start = self.pos
-            while True:
-                ch = self._peek()
-                if not ch or ch == "\n":
-                    raise self._error("unterminated string literal")
-                if ch == "\\":
-                    self._advance(2)
-                    continue
-                if ch == '"':
-                    break
-                self._advance()
-            pieces.append(self.source[start : self.pos])
-            self._advance()  # closing quote
-            self._skip_trivia()
-        body = "".join(pieces)
-        return Token(
-            "string", f'"{body}"', line, col, value=_decode_escapes(body, line, col)
-        )
 
-    def _char(self, line: int, col: int) -> Token:
-        self._advance()
-        start = self.pos
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise self._error("unterminated character constant")
-            if ch == "\\":
-                self._advance(2)
-                continue
-            if ch == "'":
-                break
-            self._advance()
-        body = self.source[start : self.pos]
-        self._advance()
-        decoded = _decode_escapes(body, line, col)
-        if len(decoded) != 1:
-            raise LexError("character constant must be one character", line, col)
-        return Token("char", f"'{body}'", line, col, value=ord(decoded))
+def _char(source: str, start: int, line: int, col: int) -> Tuple[Token, int]:
+    end = _quoted_body(source, start, _CHAR_BODY, "character constant")
+    body = source[start + 1 : end]
+    decoded = _decode_escapes(body, line, col)
+    if len(decoded) != 1:
+        raise LexError("character constant must be one character", line, col)
+    return Token("char", f"'{body}'", line, col, value=ord(decoded)), end + 1
+
+
+def _digit_after_number(source: str, end: int, body: str) -> str:
+    """A non-ASCII digit that continues the decimal literal ``body``
+    ending at ``end`` (as its next digit or its exponent), or ``""``."""
+    ahead = source[end : end + 3]
+    if ahead[:1] in ("e", "E") and "e" not in body and "E" not in body:
+        ahead = ahead[2:] if ahead[1:2] in ("+", "-") else ahead[1:]
+    digit = ahead[:1]
+    return digit if digit and not digit.isascii() and digit.isdigit() else ""
 
 
 def tokenize(source: str, filename: str = "<source>") -> List[Token]:
-    """Convenience wrapper: lex a whole translation unit."""
-    return Lexer(source, filename).tokens()
+    """Lex a whole translation unit; the list ends with an ``eof`` token."""
+    skip = _TRIVIA.match
+    match = _TOKEN.match
+    out: List[Token] = []
+    append = out.append
+    pos = 0
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    while True:
+        start = skip(source, pos).end()
+        m = match(source, start)
+        kind = m.lastgroup
+        if start != pos:
+            newlines = source.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, start) + 1
+        col = start - line_start + 1
+        pos = m.end()
+        if kind == "punct":
+            append(Token("punct", m.group(kind), line, col))
+        elif kind == "id":
+            text = m.group(kind)
+            append(Token("keyword" if text in KEYWORDS else "id", text, line, col))
+        elif kind == "number":
+            text = m.group(kind)
+            body = m.group("body")
+            if len(text) == len(body) and pos < len(source):
+                digit = _digit_after_number(source, pos, body)
+                if digit:
+                    raise _bad_digit(digit, line, col)
+            append(number_token(text, body, not body.isdigit(), line, col))
+        elif kind == "string" or kind == "char":
+            token, pos = (_string if kind == "string" else _char)(source, start, line, col)
+            append(token)
+            newlines = source.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, pos) + 1
+        elif kind == "hex":
+            text = m.group(kind)
+            append(number_token(text, m.group("hex_body"), False, line, col))
+        elif kind == "eof":
+            append(Token("eof", "", line, col))
+            return out
+        elif kind == "word":
+            text = m.group(kind)
+            if text[0].isalpha():
+                append(Token("id", text, line, col))
+            elif text[0].isdigit():
+                raise _bad_digit(text[0], line, col)
+            else:
+                raise LexError(f"unexpected character {text[0]!r}", line, col)
+        elif kind == "dot":
+            if source[pos].isdigit():
+                raise _bad_digit(source[pos], line, col)
+            append(Token("punct", ".", line, col))
+        elif kind == "open_comment":
+            raise _error_at(source, len(source), "unterminated block comment")
+        else:  # other
+            ch = m.group(kind)
+            if ch.isdigit():
+                raise _bad_digit(ch, line, col)
+            raise LexError(f"unexpected character {ch!r}", line, col)

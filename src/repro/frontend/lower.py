@@ -10,7 +10,7 @@ analysis consumes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..ir import instructions as ins
 from ..ir import types as ty
@@ -51,6 +51,8 @@ class Lowering:
         self._break_stack: List[BasicBlock] = []
         self._continue_stack: List[BasicBlock] = []
         self._labels: Dict[str, BasicBlock] = {}
+        #: label blocks a goto created before the label was lowered
+        self._forward_labels: Set[BasicBlock] = set()
         self._switch_cases: Optional[List[Tuple[Optional[int], BasicBlock]]] = None
 
     # ------------------------------------------------------------------
@@ -230,6 +232,7 @@ class Lowering:
         entry = fn.add_block("entry")
         builder.position_at_end(entry)
         self._labels = {}
+        self._forward_labels = set()
         self._break_stack = []
         self._continue_stack = []
 
@@ -358,6 +361,8 @@ class Lowering:
         elif isinstance(stmt, ast.Default):
             self._default(stmt)
         elif isinstance(stmt, ast.Goto):
+            if stmt.label not in self._labels:
+                self._forward_labels.add(self._label_block(stmt.label))
             builder.br(self._label_block(stmt.label))
         elif isinstance(stmt, ast.Label):
             block = self._label_block(stmt.name)
@@ -367,6 +372,33 @@ class Lowering:
             self._stmt(stmt.body)
         else:  # pragma: no cover
             raise LowerError(f"unhandled statement {type(stmt).__name__}")
+
+    def _storage(self, expr: ast.Identifier, sym: Symbol) -> Value:
+        """The address of ``sym``'s storage, used by ``expr``."""
+        addr = self.addresses.get(id(sym))
+        if addr is None:
+            raise LowerError(f"no storage for {expr.name}", expr.line)
+        block = self.builder.block
+        if (
+            block in self._forward_labels
+            and isinstance(addr, ins.Alloca)
+            and addr.parent is not block
+            and self._after(addr.parent, block)
+        ):
+            # The goto jumped past the declaration, and the block it
+            # reaches precedes the alloca in the function's layout: the
+            # only way lowering can emit a use before its definition.
+            raise LowerError(
+                f"use of {expr.name!r} after a jump past its declaration"
+                " is not supported",
+                expr.line,
+            )
+        return addr
+
+    def _after(self, block: BasicBlock, other: BasicBlock) -> bool:
+        """Whether ``block`` comes after ``other`` in the function."""
+        blocks = self.builder.function.blocks
+        return blocks.index(block) > blocks.index(other)
 
     def _label_block(self, name: str) -> BasicBlock:
         block = self._labels.get(name)
@@ -603,10 +635,7 @@ class Lowering:
             sym = getattr(expr, "symbol", None)
             if sym is None:
                 raise LowerError(f"unresolved identifier {expr.name}", expr.line)
-            addr = self.addresses.get(id(sym))
-            if addr is None:
-                raise LowerError(f"no storage for {expr.name}", expr.line)
-            return addr
+            return self._storage(expr, sym)
         if isinstance(expr, ast.Unary) and expr.op == "*":
             return self._rvalue(expr.operand)
         if isinstance(expr, ast.Index):
@@ -671,9 +700,7 @@ class Lowering:
             assert sym is not None
             if isinstance(sym.ctype, ty.FunctionType):
                 return self.addresses[id(sym)]  # function designator
-            addr = self.addresses.get(id(sym))
-            if addr is None:
-                raise LowerError(f"no storage for {expr.name}", expr.line)
+            addr = self._storage(expr, sym)
             if isinstance(sym.ctype, ty.ArrayType):
                 # Array decay: &arr[0].
                 return builder.gep(
@@ -953,6 +980,15 @@ class Lowering:
             ctype.pointee, ty.FunctionType
         )
         ftype = ctype.pointee
+        # Checked here, against the callee's final type: a definition
+        # may prototype a function that was unprototyped at the call.
+        # Unprototyped ``f()`` declarations are variadic and take any call.
+        if not ftype.variadic and len(expr.args) != len(ftype.params):
+            raise LowerError(
+                f"wrong number of arguments: {len(expr.args)} given,"
+                f" {len(ftype.params)} expected",
+                expr.line,
+            )
         args: List[Value] = []
         for i, arg in enumerate(expr.args):
             value = self._rvalue(arg)

@@ -25,7 +25,12 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class PreprocessorError(SyntaxError):
-    pass
+    """A preprocessing error; the message starts with ``file:`` or
+    ``file:line:``, and ``line`` is that line (0 when there is none)."""
+
+    def __init__(self, message: str, line: int = 0):
+        super().__init__(message)
+        self.line = line
 
 
 @dataclass
@@ -75,7 +80,14 @@ class Preprocessor:
                 continue
             if not active:
                 continue
-            out.append(self._expand(line))
+            if not self.macros or self.macros.keys().isdisjoint(_IDENT.findall(line)):
+                # No word of the line names a macro: _expand is the identity.
+                out.append(line)
+                continue
+            try:
+                out.append(self._expand(line))
+            except PreprocessorError as exc:
+                raise PreprocessorError(f"{filename}:{lineno}: {exc}", lineno) from None
         if cond_stack:
             raise PreprocessorError(f"{filename}: unterminated #if")
         return out
@@ -122,7 +134,7 @@ class Preprocessor:
             cond_stack.append((active, taken, taken))
         elif name == "elif":
             if not cond_stack:
-                raise PreprocessorError(f"{filename}:{lineno}: #elif without #if")
+                raise PreprocessorError(f"{filename}:{lineno}: #elif without #if", lineno)
             was_active, taken_before, _ = cond_stack.pop()
             take = (
                 was_active
@@ -132,14 +144,14 @@ class Preprocessor:
             cond_stack.append((was_active, taken_before or take, take))
         elif name == "else":
             if not cond_stack:
-                raise PreprocessorError(f"{filename}:{lineno}: #else without #if")
+                raise PreprocessorError(f"{filename}:{lineno}: #else without #if", lineno)
             was_active, taken_before, _ = cond_stack.pop()
             cond_stack.append(
                 (was_active, True, was_active and not taken_before)
             )
         elif name == "endif":
             if not cond_stack:
-                raise PreprocessorError(f"{filename}:{lineno}: #endif without #if")
+                raise PreprocessorError(f"{filename}:{lineno}: #endif without #if", lineno)
             cond_stack.pop()
         elif not active:
             return  # other directives in dead regions are ignored
@@ -152,22 +164,27 @@ class Preprocessor:
         elif name == "pragma":
             pass
         elif name == "error":
-            raise PreprocessorError(f"{filename}:{lineno}: #error {rest}")
+            raise PreprocessorError(f"{filename}:{lineno}: #error {rest}", lineno)
         elif name == "":
             pass  # null directive
         else:
             raise PreprocessorError(
-                f"{filename}:{lineno}: unknown directive #{name}"
+                f"{filename}:{lineno}: unknown directive #{name}", lineno
             )
 
     def _define(self, rest: str, filename: str, lineno: int) -> None:
         match = _IDENT.match(rest)
         if not match:
-            raise PreprocessorError(f"{filename}:{lineno}: bad #define")
+            raise PreprocessorError(f"{filename}:{lineno}: bad #define", lineno)
         name = match.group(0)
         after = rest[len(name):]
         if after.startswith("("):
-            close = after.index(")")
+            close = after.find(")")
+            if close < 0:
+                raise PreprocessorError(
+                    f"{filename}:{lineno}: unterminated parameter list in #define {name}",
+                    lineno,
+                )
             param_text = after[1:close].strip()
             params = (
                 [p.strip() for p in param_text.split(",")] if param_text else []
@@ -185,10 +202,10 @@ class Preprocessor:
         elif rest.startswith("<") and rest.endswith(">"):
             header = rest[1:-1]
         else:
-            raise PreprocessorError(f"{filename}:{lineno}: bad #include {rest}")
+            raise PreprocessorError(f"{filename}:{lineno}: bad #include {rest}", lineno)
         if header not in self.headers:
             raise PreprocessorError(
-                f"{filename}:{lineno}: header {header!r} not found"
+                f"{filename}:{lineno}: header {header!r} not found", lineno
             )
         return self._process_lines(self.headers[header], header, depth + 1)
 
@@ -310,7 +327,7 @@ class Preprocessor:
             return int(_CondParser(expanded).parse())
         except SyntaxError as exc:
             raise PreprocessorError(
-                f"{filename}:{lineno}: bad #if expression {expr!r}: {exc}"
+                f"{filename}:{lineno}: bad #if expression {expr!r}: {exc}", lineno
             ) from exc
 
     def _eval_expand(self, expr: str) -> str:

@@ -32,6 +32,15 @@ class SemaError(Exception):
         self.line = line
 
 
+def sizeof_type(ctype: ty.Type, line: int) -> int:
+    """``sizeof`` of ``ctype``; a SemaError when the type has no size:
+    void, a function or an incomplete struct (C 6.5.3.4p1)."""
+    try:
+        return ctype.sizeof()
+    except TypeError as exc:
+        raise SemaError(f"invalid sizeof: {exc}", line) from None
+
+
 @dataclass
 class Symbol:
     """A declared entity."""
@@ -118,6 +127,8 @@ class Sema:
         self.functions: List[FunctionInfo] = []
         self.scopes: List[Dict[str, Symbol]] = []
         self.current_fn: Optional[FunctionInfo] = None
+        #: the current function's goto statements, checked at its end
+        self._gotos: List[ast.Goto] = []
         self._static_counter = 0
 
     # ------------------------------------------------------------------
@@ -177,7 +188,9 @@ class Sema:
     def _function_definition(self, fdef: ast.FunctionDef) -> None:
         existing = self.globals.get(fdef.name)
         if existing is not None:
-            if existing.defined and existing.kind == "function" and existing.init:
+            if existing.kind != "function":
+                raise SemaError(f"conflicting declarations of {fdef.name!r}", fdef.line)
+            if existing.defined and existing.init:
                 raise SemaError(f"redefinition of {fdef.name!r}", fdef.line)
             existing.defined = True
             existing.ctype = fdef.ctype
@@ -204,7 +217,11 @@ class Sema:
             psym = Symbol(param.name, param.ctype, "param", line=param.line)
             self.scopes[-1][param.name] = psym
             info.params.append(psym)
+        self._gotos = []
         self._compound(fdef.body)
+        for goto in self._gotos:
+            if goto.label not in info.labels:
+                raise SemaError(f"use of undeclared label {goto.label!r}", goto.line)
         self.scopes.pop()
         self.current_fn = None
         self.functions.append(info)
@@ -340,7 +357,9 @@ class Sema:
             assert self.current_fn is not None
             self.current_fn.labels.append(stmt.name)
             self._stmt(stmt.body)
-        elif isinstance(stmt, (ast.Break, ast.Continue, ast.Goto)):
+        elif isinstance(stmt, ast.Goto):
+            self._gotos.append(stmt)
+        elif isinstance(stmt, (ast.Break, ast.Continue)):
             pass
         else:  # pragma: no cover
             raise SemaError(f"unhandled statement {type(stmt).__name__}")
@@ -402,9 +421,10 @@ class Sema:
             self._rvalue_type(expr.operand)
             return expr.target_type.ctype
         if isinstance(expr, ast.SizeofType):
+            sizeof_type(expr.target_type.ctype, expr.line)
             return ty.U64
         if isinstance(expr, ast.SizeofExpr):
-            self._expr(expr.operand)
+            sizeof_type(self._expr(expr.operand), expr.line)
             return ty.U64
         if isinstance(expr, ast.CallExpr):
             return self._call(expr)
@@ -443,6 +463,8 @@ class Sema:
             t = self._expr(expr.operand)
             if not expr.operand.is_lvalue:
                 raise SemaError(f"{op} requires an lvalue", expr.line)
+            if isinstance(t, ty.VoidType):
+                raise SemaError(f"{op} of an expression of type void", expr.line)
             return _decay(t)
         t = self._rvalue_type(expr.operand)
         if op == "!":
@@ -492,6 +514,8 @@ class Sema:
             raise SemaError("assignment target is not an lvalue", expr.line)
         if isinstance(t, ty.ArrayType):
             raise SemaError("cannot assign to an array", expr.line)
+        if isinstance(t, ty.VoidType):
+            raise SemaError("cannot assign to an expression of type void", expr.line)
         self._rvalue_type(expr.value)
         return t
 

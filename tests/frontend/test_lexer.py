@@ -59,6 +59,31 @@ class TestNumbers:
     def test_leading_dot(self):
         assert tokenize(".5")[0].value == 0.5
 
+    def test_octal(self):
+        assert [t.value for t in tokenize("010 0644 00 010UL 0777u")[:-1]] == [
+            8, 420, 0, 8, 511,
+        ]
+
+    def test_leading_zero_floats_stay_decimal(self):
+        assert [t.value for t in tokenize("08.5 09e1 0.5")[:-1]] == [8.5, 90.0, 0.5]
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("x =\n  08;", "invalid digit '8' in octal constant"),
+            ("x =\n  0679;", "invalid digit '9' in octal constant"),
+            ("x =\n  0x;", "hexadecimal constant '0x' has no digits"),
+            ("x =\n  0x1lf;", "invalid suffix 'lf' on hexadecimal constant"),
+            ("x =\n  ²;", "invalid digit '²' in numeric constant"),
+            ("x =\n  1e٣;", "invalid digit '٣' in numeric constant"),
+            ("x =\n  .²;", "invalid digit '²' in numeric constant"),
+        ],
+    )
+    def test_bad_literal_is_lex_error_at_literal(self, source, message):
+        with pytest.raises(LexError) as info:
+            tokenize(source)
+        assert str(info.value) == f"line 2:3: {message}"
+
 
 class TestStringsAndChars:
     def test_simple_string(self):
@@ -90,6 +115,11 @@ class TestStringsAndChars:
         with pytest.raises(LexError):
             tokenize("'ab'")
 
+    @pytest.mark.parametrize("source", ['"\\8"', "'\\9'", '"\\²"'])
+    def test_non_octal_digit_escape_rejected(self, source):
+        with pytest.raises(LexError, match="unknown escape"):
+            tokenize(source)
+
 
 class TestComments:
     def test_line_comment(self):
@@ -104,3 +134,13 @@ class TestComments:
 
     def test_division_not_comment(self):
         assert kinds("a / b") == [("id", "a"), ("punct", "/"), ("id", "b")]
+
+    def test_comment_is_never_reread_as_division(self):
+        with pytest.raises(LexError, match=r"line 1:6: unexpected character '…'"):
+            tokenize("/**/é…*/")
+        with pytest.raises(LexError, match=r"line 2:1: unexpected character '@'"):
+            tokenize("//x\n@")
+
+    def test_unterminated_block_reported_at_end(self):
+        with pytest.raises(LexError, match=r"line 2:3: unterminated block comment"):
+            tokenize("a /*\n b")

@@ -1,8 +1,16 @@
 """Preprocessor tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.frontend.preproc import Preprocessor, PreprocessorError, preprocess
+from repro.frontend.preproc import (
+    _IDENT,
+    Macro,
+    Preprocessor,
+    PreprocessorError,
+    preprocess,
+)
 
 
 def pp(source, **kwargs):
@@ -141,3 +149,43 @@ class TestInclude:
     def test_predefined_macros(self):
         out = pp("int v = LIMIT;", predefined={"LIMIT": "128"})
         assert "128" in out
+
+
+class TestPassThrough:
+    """A line in which no word names a macro is appended unchanged."""
+
+    @given(
+        st.lists(
+            st.sampled_from(list("NFAB_x01 ()\"',\\+*#\t") + ["é", "NN", "F("]),
+            max_size=30,
+        ).map("".join)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_expand_is_the_identity_without_macro_words(self, line):
+        pre = Preprocessor(predefined={"N": "42", "AB": "(1 + 2)"})
+        pre.macros["F"] = Macro("F", "f(x)", ["x"])
+        if pre.macros.keys().isdisjoint(_IDENT.findall(line)):
+            assert pre._expand(line) == line
+
+    def test_no_macros_means_verbatim_lines(self):
+        text = 'int x = 0x1F; /* N */ char *s = "F(";\n  y;'
+        assert pp(text) == text
+
+
+class TestLocatedErrors:
+    def test_open_macro_arguments_name_file_and_line(self):
+        with pytest.raises(PreprocessorError) as info:
+            preprocess("#define F(a) a\nint x;\nint y = F(1;\n", filename="m.c")
+        assert str(info.value) == "m.c:3: unterminated macro argument list"
+        assert info.value.line == 3
+
+    def test_open_define_parameters(self):
+        with pytest.raises(PreprocessorError) as info:
+            preprocess("int a;\n#define F(a\n", filename="m.c")
+        assert str(info.value) == "m.c:2: unterminated parameter list in #define F"
+        assert info.value.line == 2
+
+    def test_directive_errors_carry_their_line(self):
+        with pytest.raises(PreprocessorError) as info:
+            preprocess("int a;\n\n#endif\n", filename="m.c")
+        assert info.value.line == 3
