@@ -17,16 +17,25 @@ Subpackages
     Alias-analysis clients: a BasicAA reimplementation, the
     Andersen-backed analysis, their combination, and the pairwise
     conflict-rate client of §VI-A.
-``repro.rvsdg``
-    The Regionalized Value State Dependence Graph (jlm's IR):
-    construction from the typed AST and a second, independent phase-1
-    constraint generator.
 ``repro.clients``
     Call-graph construction and mod/ref summaries for incomplete
     programs.
-``repro.opt``
-    Alias-driven IR optimisations (dead store elimination, redundant
-    load elimination).
+``repro.audit``
+    Scenario clients (escape, dangling, races, indirect calls) turned
+    into severity-ranked audit reports.
+``repro.interchange``
+    LIR constraint text: export any constraint program, import one
+    without the C frontend.
+``repro.link``
+    Cross-TU linking of per-unit constraint programs.
+``repro.pipeline``
+    The staged, content-addressed pipeline from source to solution.
+``repro.driver``
+    The parallel, cached solve driver.
+``repro.serve``
+    The persistent analysis server.
+``repro.obs``
+    Counters, timers and traces that cost nothing when disabled.
 ``repro.bench``
     The evaluation harness: synthetic corpus generation, timing, and
     regeneration of every table and figure in the paper.
@@ -42,5 +51,6 @@ Quick start::
 __version__ = "1.0.0"
 
 __all__ = [
-    "ir", "frontend", "analysis", "alias", "rvsdg", "clients", "opt", "bench",
+    "ir", "frontend", "analysis", "alias", "clients", "audit", "interchange",
+    "link", "pipeline", "driver", "serve", "obs", "bench",
 ]

@@ -140,6 +140,77 @@ def _add_config_option(parser) -> None:
     )
 
 
+def _add_backend_option(parser, *aliases: str) -> None:
+    parser.add_argument(
+        "--pts-backend", *aliases,
+        dest="pts_backend",
+        choices=("set", "bitset"),
+        default=None,
+        help="points-to-set representation (default: the configuration's,"
+        " i.e. set)" + "".join(f"; {a} is an alias" for a in aliases),
+    )
+
+
+def _add_reduce_option(parser) -> None:
+    parser.add_argument(
+        "--reduce",
+        action="store_true",
+        help="apply the offline constraint reduction before solving",
+    )
+
+
+def _add_link_options(parser) -> None:
+    parser.add_argument(
+        "--internalize",
+        action="store_true",
+        help="treat the link set as the whole program (LTO-style):"
+        " exported definitions outside --keep lose their linkage escape",
+    )
+    parser.add_argument(
+        "--keep", default=None,
+        help="comma-separated symbols kept external under --internalize"
+        " (default: main)",
+    )
+
+
+def _solver_config(args, *, backend: bool = True) -> Configuration:
+    """``--config`` with ``--reduce`` and, if ``backend``,
+    ``--pts-backend`` applied."""
+    config = args.config
+    if backend and args.pts_backend:
+        config = dataclasses.replace(config, pts=args.pts_backend)
+    if args.reduce:
+        config = dataclasses.replace(config, reduce=True)
+    return config
+
+
+def _link_options(args):
+    from .link import LinkOptions
+
+    return LinkOptions(
+        internalize=args.internalize,
+        keep=tuple(args.keep.split(",")) if args.keep else ("main",),
+    )
+
+
+def _result_cache(args):
+    """The on-disk cache the ``--cache`` flags ask for, or None."""
+    if not args.cache:
+        return None
+    from .driver import ResultCache
+
+    return ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
+
+
+def _print_points_to(solution, var_names) -> None:
+    """One ``Sol(p) = {...}`` line per pointer with a non-empty set."""
+    for p in solution.pointers():
+        targets = solution.points_to(p)
+        if targets:
+            names = sorted(map(str, solution.names(targets)))
+            print(f"  Sol({var_names[p]}) = {{{', '.join(names)}}}")
+
+
 def _write_text_atomic(path: pathlib.Path, text: str) -> None:
     """Write ``text`` to ``path`` without ever exposing a partial file.
 
@@ -180,14 +251,14 @@ def _load_module(path: str, headers_dir: Optional[str]):
         raise
 
 
-def _member_constraints(pipeline, src, *, lir: bool = False):
+def _member_constraints(pipeline, src):
     """``src``'s constraint artifact; a frontend error names the file.
 
-    With ``lir``, ``.lir`` members enter through the interchange front
-    door instead of the C frontend.
+    ``.lir`` members enter through the interchange front door, anything
+    else through the C frontend.
     """
     try:
-        if lir and src.name.endswith(".lir"):
+        if src.name.endswith(".lir"):
             return pipeline.constraints_from_text(src)
         return pipeline.constraints(src)
     except FRONTEND_ERRORS as exc:
@@ -213,11 +284,7 @@ def cmd_compile(args) -> int:
 
 def cmd_analyze(args) -> int:
     module = _load_module(args.file, args.include)
-    config = args.config
-    if args.pts_backend:
-        config = dataclasses.replace(config, pts=args.pts_backend)
-    if args.reduce:
-        config = dataclasses.replace(config, reduce=True)
+    config = _solver_config(args)
     result = analyze_module(module, config)
     program = result.built.program
     solution = result.solution
@@ -231,19 +298,13 @@ def cmd_analyze(args) -> int:
     for name in sorted(map(str, solution.names(solution.external))):
         print(f"  {name}")
     print("\npoints-to sets:")
-    for p in solution.pointers():
-        targets = solution.points_to(p)
-        if not targets:
-            continue
-        names = sorted(map(str, solution.names(targets)))
-        print(f"  Sol({program.var_names[p]}) = {{{', '.join(names)}}}")
+    _print_points_to(solution, program.var_names)
     return 0
 
 
 def cmd_sweep(args) -> int:
     from .driver import (
         FileContext,
-        ResultCache,
         SolveTask,
         solve_tasks,
         source_digest,
@@ -285,11 +346,7 @@ def cmd_sweep(args) -> int:
         module = _load_module(args.file, args.include)
         built = build_constraints(module)
         contexts = {digest: FileContext(path.name, digest, built.program)}
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = _result_cache(args)
     registry, trace = _obs_setup(args)
     try:
         results, stats = solve_tasks(
@@ -330,20 +387,12 @@ def cmd_link(args) -> int:
     import json
 
     from .bench.ladder import format_table, ladder_over_members
-    from .driver import ResultCache
-    from .link import LinkError, LinkOptions
+    from .link import LinkError
     from .pipeline import Pipeline
 
     config = args.config
-    options = LinkOptions(
-        internalize=args.internalize,
-        keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-    )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    options = _link_options(args)
+    cache = _result_cache(args)
     registry, trace = _obs_setup(args)
     pipeline = Pipeline(cache=cache, registry=registry)
 
@@ -389,14 +438,8 @@ def cmd_link(args) -> int:
     for name in sorted(map(str, solution.names(solution.external))):
         print(f"  {name}")
     if args.show_solution:
-        program = linked.program
         print("\npoints-to sets:")
-        for p in solution.pointers():
-            targets = solution.points_to(p)
-            if not targets:
-                continue
-            names = sorted(map(str, solution.names(targets)))
-            print(f"  Sol({program.var_names[p]}) = {{{', '.join(names)}}}")
+        _print_points_to(solution, linked.program.var_names)
 
     ladder_rungs = None
     if args.ladder:
@@ -447,24 +490,12 @@ def cmd_audit(args) -> int:
         render_report_evidence,
         render_report_table,
     )
-    from .driver import ResultCache
-    from .link import LinkError, LinkOptions
+    from .link import LinkError
     from .pipeline import Pipeline
 
-    config = args.config
-    if args.pts_backend:
-        config = dataclasses.replace(config, pts=args.pts_backend)
-    if args.reduce:
-        config = dataclasses.replace(config, reduce=True)
-    options = LinkOptions(
-        internalize=args.internalize,
-        keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-    )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    config = _solver_config(args)
+    options = _link_options(args)
+    cache = _result_cache(args)
     if args.client not in audit_names():
         print(
             f"repro: error: unknown audit client {args.client!r}"
@@ -483,9 +514,7 @@ def cmd_audit(args) -> int:
     # else through the C frontend.  Constraint-tier clients cover both;
     # IR-tier clients see only the C members.
     ir_sources = [s for s in sources if not s.name.endswith(".lir")]
-    members = [
-        _member_constraints(pipeline, src, lir=True) for src in sources
-    ]
+    members = [_member_constraints(pipeline, src) for src in sources]
     try:
         linked = pipeline.link(members, options).linked
     except LinkError as exc:
@@ -539,16 +568,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_constraints_export(args) -> int:
-    from .driver import ResultCache
     from .interchange import export_constraint_text
-    from .link import LinkError, LinkOptions
+    from .link import LinkError
     from .pipeline import Pipeline
 
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = _result_cache(args)
     registry, trace = _obs_setup(args)
     pipeline = Pipeline(cache=cache, registry=registry)
     sources = [
@@ -560,13 +584,9 @@ def cmd_constraints_export(args) -> int:
         # linkage escapes, no cross-module resolution.
         program = _member_constraints(pipeline, sources[0]).program
     else:
-        options = LinkOptions(
-            internalize=args.internalize,
-            keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-        )
         members = [_member_constraints(pipeline, src) for src in sources]
         try:
-            program = pipeline.link(members, options).linked.program
+            program = pipeline.link(members, _link_options(args)).linked.program
         except LinkError as exc:
             return _link_failed(exc, trace)
     text = export_constraint_text(program)
@@ -587,18 +607,11 @@ def cmd_constraints_solve(args) -> int:
     import json
 
     from .analysis.solution import Solution
-    from .driver import (
-        FileContext,
-        ResultCache,
-        SolveTask,
-        solve_tasks,
-        source_digest,
-    )
+    from .driver import FileContext, SolveTask, solve_tasks, source_digest
     from .interchange import parse_constraint_text
 
-    config = args.config
-    if args.reduce:
-        config = dataclasses.replace(config, reduce=True)
+    # The backend travels with each task, not in the configuration name.
+    config = _solver_config(args, backend=False)
     tasks = []
     contexts = {}
     programs = {}
@@ -626,11 +639,7 @@ def cmd_constraints_solve(args) -> int:
                 source_kind="lir",
             )
         )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
+    cache = _result_cache(args)
     registry, trace = _obs_setup(args)
     try:
         results, stats = solve_tasks(
@@ -657,13 +666,7 @@ def cmd_constraints_solve(args) -> int:
         external = sorted(map(str, solution.names(solution.external)))
         print(f"  externally accessible: {', '.join(external) or '(none)'}")
         if args.show_solution:
-            for p in solution.pointers():
-                targets = solution.points_to(p)
-                if not targets:
-                    continue
-                names = sorted(map(str, solution.names(targets)))
-                print(f"  Sol({program.var_names[p]}) ="
-                      f" {{{', '.join(names)}}}")
+            _print_points_to(solution, program.var_names)
         entries.append(
             {
                 "file": result.file_name,
@@ -696,21 +699,13 @@ def _read_project_files(paths) -> dict:
 
 def _serve_components(args):
     """(project, server, trace) shared by ``serve`` and ``query``."""
-    from .driver import ResultCache
-    from .link import LinkOptions
     from .serve import DEFAULT_MAX_REQUEST_BYTES, AnalysisServer, Project
 
-    options = LinkOptions(
-        internalize=args.internalize,
-        keep=tuple(args.keep.split(",")) if args.keep else ("main",),
-    )
-    cache = (
-        ResultCache(args.cache_dir, max_entries=args.cache_max_entries)
-        if args.cache
-        else None
-    )
     registry, trace = _obs_setup(args)
-    project = Project(args.config, options, cache=cache, registry=registry)
+    project = Project(
+        args.config, _link_options(args), cache=_result_cache(args),
+        registry=registry,
+    )
     server = AnalysisServer(
         project,
         timeout=args.timeout,
@@ -878,31 +873,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("file")
     p.add_argument("--include", default=None)
     _add_config_option(p)
-    p.add_argument(
-        "--pts-backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation (default: the config's, i.e. set)",
-    )
-    p.add_argument(
-        "--reduce",
-        action="store_true",
-        help="apply the offline constraint reduction before solving",
-    )
+    _add_backend_option(p)
+    _add_reduce_option(p)
     p.add_argument("--dump-constraints", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="compare solver configurations")
     p.add_argument("file")
     p.add_argument("--include", default=None)
+    _add_backend_option(p)
     p.add_argument(
-        "--pts-backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation applied to every configuration",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="solve configurations on N worker processes",
     )
     _add_cache_options(p, "solved results")
@@ -915,24 +896,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument("files", nargs="+", metavar="FILE")
     _add_config_option(p)
-    p.add_argument(
-        "--internalize",
-        action="store_true",
-        help="treat the link set as the whole program (LTO-style):"
-        " exported definitions outside --keep lose their linkage escape",
-    )
-    p.add_argument(
-        "--keep", default=None,
-        help="comma-separated symbols kept external under --internalize"
-        " (default: main)",
-    )
+    _add_link_options(p)
     p.add_argument(
         "--ladder",
         action="store_true",
         help="also solve every TU prefix and report the Ω-shrinkage ladder",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="accepted for compatibility; has no effect (the link runs"
         " in one process)",
     )
@@ -960,17 +931,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="C translation units and/or .lir constraint-text files",
     )
     _add_config_option(p)
-    p.add_argument(
-        "--pts-backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation (default: the config's)",
-    )
-    p.add_argument(
-        "--reduce",
-        action="store_true",
-        help="apply the offline constraint reduction before solving",
-    )
+    _add_backend_option(p)
+    _add_reduce_option(p)
     p.add_argument(
         "--oracle",
         choices=("andersen", "basicaa", "combined"),
@@ -996,16 +958,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="calls: also report bounded call sites (default: yes)",
     )
-    p.add_argument(
-        "--internalize",
-        action="store_true",
-        help="treat the link set as the whole program (LTO-style)",
-    )
-    p.add_argument(
-        "--keep", default=None,
-        help="comma-separated symbols kept external under --internalize"
-        " (default: main)",
-    )
+    _add_link_options(p)
     p.add_argument(
         "--format",
         choices=("table", "json"),
@@ -1037,17 +990,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="compile C sources and print the canonical constraint text",
     )
     pe.add_argument("files", nargs="+", metavar="FILE")
-    pe.add_argument(
-        "--internalize",
-        action="store_true",
-        help="treat the link set as the whole program (LTO-style;"
-        " multi-file export only)",
-    )
-    pe.add_argument(
-        "--keep", default=None,
-        help="comma-separated symbols kept external under --internalize"
-        " (default: main)",
-    )
+    _add_link_options(pe)
     pe.add_argument(
         "--out", type=pathlib.Path, default=None,
         help="write the constraint text here (default: stdout)",
@@ -1062,20 +1005,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     ps.add_argument("files", nargs="+", metavar="FILE")
     _add_config_option(ps)
+    _add_backend_option(ps, "--backend")
+    _add_reduce_option(ps)
     ps.add_argument(
-        "--pts-backend", "--backend",
-        dest="pts_backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation (--backend is an alias)",
-    )
-    ps.add_argument(
-        "--reduce",
-        action="store_true",
-        help="apply the offline constraint reduction before solving",
-    )
-    ps.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="solve files on N worker processes",
     )
     ps.add_argument("--show-solution", action="store_true")
@@ -1089,16 +1022,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     def _add_serve_options(p) -> None:
         _add_config_option(p)
-        p.add_argument(
-            "--internalize",
-            action="store_true",
-            help="treat the link set as the whole program (LTO-style)",
-        )
-        p.add_argument(
-            "--keep", default=None,
-            help="comma-separated symbols kept external under --internalize"
-            " (default: main)",
-        )
+        _add_link_options(p)
         p.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="per-request deadline (an expired request answers a"

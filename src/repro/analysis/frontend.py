@@ -78,6 +78,11 @@ def _summary_free(builder: "ConstraintBuilder", call: ins.Call) -> None:
 def _summary_memcpy(builder: "ConstraintBuilder", call: ins.Call) -> None:
     if len(call.args) >= 2:
         builder.model_memcpy(call.args[0], call.args[1])
+    # memcpy returns dst.
+    result = builder.built.var_of_value.get(call)
+    dst = builder.operand_var(call.args[0]) if call.args else None
+    if result is not None and dst is not None:
+        builder.program.add_simple(result, dst)
 
 
 #: the paper's special-cased library functions (§V-B)

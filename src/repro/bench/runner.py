@@ -263,7 +263,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Parallel cached corpus experiment runner"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes"
+    )
     parser.add_argument(
         "--cache",
         action=argparse.BooleanOptionalAction,
@@ -286,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--files-scale", type=float, default=0.012)
     parser.add_argument("--size-scale", type=float, default=0.02)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repetitions", type=int, default=3)
+    parser.add_argument("--repetitions", type=_positive_int, default=3)
     parser.add_argument(
         "--pts-backend", choices=("set", "bitset"), default=None
     )

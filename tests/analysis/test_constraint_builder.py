@@ -161,6 +161,20 @@ class TestHeapAndSummaries:
         dst = program.var_names.index("f.dst")
         assert "x" in result.solution.names(result.solution.points_to(dst))
 
+    def test_memcpy_returns_dst(self):
+        # Found by the concrete-execution oracle: the result register of
+        # a summarised memcpy call holds dst at run time.
+        result = analyze_source(
+            "extern void* memcpy(void*, const void*, unsigned long);\n"
+            "static int x;\n"
+            "void* f(int* src) {\n"
+            "    return memcpy(&x, src, sizeof(int));\n"
+            "}"
+        )
+        solution = result.solution
+        ret = result.built.program.var_names.index("f.ret")
+        assert "x" in solution.names(solution.points_to(ret))
+
     def test_extended_summaries_calloc(self):
         module, built = build(
             "extern void* calloc(unsigned long, unsigned long);\n"

@@ -128,3 +128,25 @@ class TestClobberQueries:
         call = next(i for i in fn.instructions() if isinstance(i, Call))
         load = [i for i in fn.instructions() if i.opcode == "load"][-1]
         assert not call_may_clobber(summaries, result, call, load.pointer)
+
+    def test_private_callee_does_not_clobber_parameter_target(self):
+        # A parameter of an exported function points only to external
+        # memory; a callee that writes a never-escaped static cannot
+        # change it.
+        src = (
+            "static int counter;\n"
+            "static void bump(void) { counter++; }\n"
+            "int f(int* p) {\n"
+            "    int a = *p;\n"
+            "    bump();\n"
+            "    return a + *p;\n"
+            "}"
+        )
+        module = compile_c(src, "t.c")
+        result = analyze_module(module)
+        summaries = compute_mod_ref(result)
+        fn = module.functions["f"]
+        call = next(i for i in fn.instructions() if isinstance(i, Call))
+        load = [i for i in fn.instructions() if i.opcode == "load"][-1]
+        assert loc(result, "counter") in summaries[module.functions["bump"]].mod
+        assert not call_may_clobber(summaries, result, call, load.pointer)

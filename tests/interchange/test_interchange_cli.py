@@ -7,6 +7,7 @@ name.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -57,6 +58,42 @@ class TestConstraintsExport:
         first = capsys.readouterr().out
         assert main(["constraints", "export", *tu_pair]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestLirMembers:
+    """An exported ``.lir`` member links like the C file it came from,
+    on every command that links."""
+
+    @pytest.fixture
+    def members(self, tmp_path, capsys):
+        corpus = pathlib.Path(__file__).parents[2] / "examples" / "corpus"
+        arena_lir = tmp_path / "arena.lir"
+        assert main([
+            "constraints", "export", str(corpus / "arena.c"),
+            "--out", str(arena_lir),
+        ]) == 0
+        capsys.readouterr()
+        hashtable = str(corpus / "hashtable.c")
+        return [str(corpus / "arena.c"), hashtable], [str(arena_lir), hashtable]
+
+    def test_link_out_solution_matches_all_c(self, members, tmp_path, capsys):
+        all_c, mixed = members
+        solutions = []
+        for name, files in (("c", all_c), ("mixed", mixed)):
+            out = tmp_path / f"{name}.json"
+            assert main(["link", *files, "--no-cache", "--out", str(out)]) == 0
+            solutions.append(json.loads(out.read_text())["solution"])
+        assert solutions[0] == solutions[1]
+
+    def test_export_matches_all_c(self, members, capsys):
+        texts = []
+        for files in members:
+            assert main(["constraints", "export", *files]) == 0
+            texts.append([
+                line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith(".program ")
+            ])
+        assert texts[0] == texts[1]
 
 
 class TestConstraintsSolve:

@@ -213,6 +213,11 @@ class TestNumericOptions:
             (["query", "-q", "classify"], "--memo-max-entries"),
             (["query", "-q", "classify"], "--max-request-bytes"),
             (["run"], "--cache-max-entries"),
+            (["sweep"], "--jobs"),
+            (["link"], "--jobs"),
+            (["constraints", "solve"], "--jobs"),
+            (["run"], "--jobs"),
+            (["run"], "--repetitions"),
         ],
     )
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -12,8 +12,6 @@ SCRIPTS = [
     "quickstart.py",
     "alias_client.py",
     "escape_audit.py",
-    "optimizer_demo.py",
-    "rvsdg_tour.py",
 ]
 
 
