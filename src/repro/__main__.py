@@ -452,7 +452,8 @@ def cmd_link(args) -> int:
 
     if args.out is not None:
         report = {
-            "schema": 1,
+            # 2: the solution leaves E implicit in every set holding Ω
+            "schema": 2,
             "files": [src.name for src in sources],
             "config": config.name,
             "options": options.to_dict(),
@@ -678,7 +679,8 @@ def cmd_constraints_solve(args) -> int:
     if args.cache or args.jobs > 1:
         print(stats)
     if args.out is not None:
-        report = {"schema": 1, "config": config.name, "results": entries}
+        # schema 2: each solution leaves E implicit in sets holding Ω
+        report = {"schema": 2, "config": config.name, "results": entries}
         if registry is not None:
             report["metrics"] = registry.to_dict()
         _write_text_atomic(

@@ -5,10 +5,11 @@ analysis returns NoAlias if the instructions have distinct points-to
 sets.  Otherwise, MayAlias is returned.  Both analyses return MustAlias
 when the pointers are identical.").
 
-Because Sol sets of unknown-origin pointers already contain the expanded
-set of externally accessible locations plus the Ω token, a plain set
-intersection is exact: two pointers that may both hold external values
-intersect at Ω.
+The check reads the expanded view, ``Solution.points_to``: a Sol set
+holding Ω there also lists every externally accessible location (the
+stored form leaves them implicit), so a plain set intersection is
+exact — two pointers that may both hold external values intersect at
+Ω.
 """
 
 from __future__ import annotations

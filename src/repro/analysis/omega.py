@@ -43,14 +43,15 @@ def concretize(pointees: frozenset, external: frozenset) -> frozenset:
 
     The concretization of a pointee set containing Ω is the set itself
     plus every externally accessible location: Ω stands for "any external
-    memory", so a sound reading must include all of E.  Canonical
-    :class:`repro.analysis.solution.Solution` sets are stored already
-    concretized, making this function idempotent on them — the soundness
-    property tests rely on (and check) exactly that.
+    memory", so a sound reading must include all of E.  A
+    :class:`repro.analysis.solution.Solution` stores a set holding Ω
+    with E left implicit, and :meth:`~repro.analysis.solution.Solution.points_to`
+    expands it through this function — the one expansion there is.  The
+    function is idempotent, so it also accepts an already expanded set.
     """
     s = frozenset(pointees)
     if OMEGA in s:
-        s = s | frozenset(external) | {OMEGA}
+        s = s | frozenset(external)
     return s
 
 

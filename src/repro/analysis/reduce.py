@@ -431,7 +431,9 @@ def expand_solution(
     Pointer keys, pointee members and the external set are mapped
     through ``new2old``; merged-away pointers (absent from the compact
     program) then get their representative's Sol through
-    :func:`~repro.analysis.solution.attach_aliases`.
+    :func:`~repro.analysis.solution.attach_aliases`.  ``new2old`` is
+    injective, so a stored set holding Ω still leaves the mapped E
+    implicit.
     """
     from .pts.intern import InternTable
     from .solution import Solution, attach_aliases
@@ -527,8 +529,9 @@ def _subsume_bases(reduced: ConstraintProgram) -> int:
     a strictly later SCC implies ``x ∈ Sol(v)`` at fixpoint — the
     original (pre-subsumption) bases justify removals in topological
     order, so chains of removals stay well-founded.  Flag rule (IP
-    programs only): ``ea[x] ∧ pte[p]`` implies ``x`` is external and
-    ``Sol(p)`` canonically contains all externals.  Both survive every
+    programs only): ``ea[x] ∧ pte[p]`` implies ``x`` is external, and
+    a widened ``Sol(p)`` contains all of E (its stored form leaves E
+    implicit, with or without ``x`` in the base).  Both survive every
     PIP addition: an elided or cleared explicit path always implies the
     escape flags that widen the canonical form over the same pointees
     (docs/internals.md §13).

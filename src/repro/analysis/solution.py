@@ -8,8 +8,19 @@ Pointees are original variable indexes of abstract memory locations, plus
 the token :data:`repro.analysis.omega.OMEGA` denoting "external memory
 not represented by any other abstract location".  A pointer whose
 solution contains OMEGA may target any externally accessible memory
-location; its full Sol set therefore also contains every member of
-:attr:`Solution.external`.
+location, so its full Sol set also contains every member of
+:attr:`Solution.external` (E).
+
+This module fixes the one canonical form of a solution: Ω stays
+implicit.  A widened pointer is *stored* as ``(Sol(p) \\ E) ∪ {Ω}``, not
+as ``Sol(p) ∪ E ∪ {Ω}``; a set without Ω is stored as it is.  The
+solvers' extraction emits that form, and every encoder writes it — the
+wire/cache form, the named form and its digest, and the reports and
+served answers built from them.  :meth:`Solution.points_to` is the
+expanded view (:func:`repro.analysis.omega.concretize` of the stored
+set, memoised per distinct set) for clients that read Sol as a plain
+set.  Expansion is lossless: Ω ∈ Sol(p) implies E ⊆ Sol(p) under both
+IP and EP (docs/internals.md §2, §6).
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from typing import (
 )
 
 from .constraints import ConstraintProgram
-from .omega import OMEGA
+from .omega import OMEGA, concretize
 
 Pointee = Union[int, str]  # an M-var index, or the OMEGA token
 
@@ -97,13 +108,18 @@ def _check_indexes(indexes: FrozenSet, n: int, what: str) -> None:
         raise ValueError(f"{what} index outside the program's {n} variables")
 
 
-def _decode_pointees(wire: FrozenSet, n: int) -> FrozenSet:
-    """Inverse of :func:`_wire_pointees`, checking every index."""
+def _decode_pointees(wire: FrozenSet, n: int, external: FrozenSet) -> FrozenSet:
+    """Inverse of :func:`_wire_pointees`, checking every index and
+    that a set holding Ω leaves E implicit."""
     omega = OMEGA_WIRE in wire
     if omega:
         wire = wire - _OMEGA_WIRE_ONLY
     _check_indexes(wire, n, "pointee")
-    return wire | _OMEGA_ONLY if omega else wire
+    if not omega:
+        return wire
+    if not wire.isdisjoint(external):
+        raise ValueError("a set holding Ω lists a member of E")
+    return wire | _OMEGA_ONLY
 
 
 @dataclass
@@ -174,7 +190,12 @@ class SolverStats:
 
 
 class Solution:
-    """Canonical, configuration-independent points-to solution."""
+    """Canonical, configuration-independent points-to solution.
+
+    ``points_to`` maps each pointer to its Sol set in the stored
+    (implicit-Ω) form of this module's docstring; callers constructing
+    a solution by hand must pass that form.
+    """
 
     def __init__(
         self,
@@ -184,25 +205,38 @@ class Solution:
         stats: Optional[SolverStats] = None,
     ):
         self.program = program
+        #: pointer → stored Sol set; the one dict that equality, diff
+        #: and every encoder read
         self._points_to = points_to
         #: E — externally accessible memory locations (original indexes)
         self.external = external
         self.stats = stats or SolverStats()
         self._by_name = {program.var_names[v]: v for v in points_to}
+        #: stored Ω set → its expansion, filled lazily by points_to.
+        #: Concurrent readers may race to fill an entry; both compute
+        #: the same value.
+        self._expanded: Dict[FrozenSet, FrozenSet] = {}
 
     # ------------------------------------------------------------------
 
     def points_to(self, p: int) -> FrozenSet:
         """Sol(p): pointee indexes plus possibly the OMEGA token.
 
-        When OMEGA ∈ Sol(p), the set already includes all members of
-        :attr:`external`.
+        The expanded view: when OMEGA ∈ Sol(p), the set includes all
+        members of :attr:`external`.  Each distinct stored set is
+        expanded once, so pointers sharing a set share its expansion.
         """
-        return self._points_to[p]
+        s = self._points_to[p]
+        if OMEGA not in s:
+            return s
+        full = self._expanded.get(s)
+        if full is None:
+            full = self._expanded[s] = concretize(s, self.external)
+        return full
 
     def points_to_name(self, name: str) -> FrozenSet:
         """Sol of the variable called ``name`` (convenience for tests)."""
-        return self._points_to[self._by_name[name]]
+        return self.points_to(self._by_name[name])
 
     def names(self, pointees: Iterable[Pointee]) -> FrozenSet:
         """Map pointee indexes to variable names (OMEGA passes through)."""
@@ -222,6 +256,11 @@ class Solution:
     # ------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        """Equal stored sets and equal E.
+
+        For a fixed E, two expanded sets are equal exactly when their
+        stored forms are, so this is equality of the expanded answers.
+        """
         if not isinstance(other, Solution):
             return NotImplemented
         return (
@@ -233,7 +272,8 @@ class Solution:
         return hash(frozenset(self._points_to.items()))
 
     def diff(self, other: "Solution") -> str:
-        """Human-readable difference report (for validation failures)."""
+        """Human-readable difference of the stored sets (for validation
+        failures)."""
         lines = []
         nm = self.program.var_names
         if self.external != other.external:
@@ -252,8 +292,12 @@ class Solution:
         return "\n".join(lines) if lines else "<identical>"
 
     def total_pointees(self) -> int:
-        """Σ|Sol(p)| over all pointers (full, implicit-expanded solution)."""
-        return sum(len(s) for s in self._points_to.values())
+        """Σ|Sol(p)| over all pointers, each Ω set counted expanded."""
+        n_external = len(self.external)
+        return sum(
+            len(s) + n_external if OMEGA in s else len(s)
+            for s in self._points_to.values()
+        )
 
     def rebase(self, program: ConstraintProgram) -> "Solution":
         """The same answer against ``program``.
@@ -267,6 +311,10 @@ class Solution:
 
     # ------------------------------------------------------------------
     # Canonical wire form (parallel driver / on-disk cache)
+    #
+    # Every encoder writes the stored sets: a set holding OMEGA lists
+    # only its members outside E, and a reader expands it by adding
+    # the ``external`` list the same encoding carries.
     #
     # Extraction interns Sol sets, so few distinct frozensets back many
     # pointers.  Every encoder below sorts and encodes each distinct set
@@ -295,7 +343,7 @@ class Solution:
         }
 
     def _named_sets(self) -> "Iterator[Tuple[str, FrozenSet]]":
-        """``(name, Sol set)`` of every pointer in M, by pointer name."""
+        """``(name, stored set)`` of every pointer in M, by pointer name."""
         names = self.program.var_names
         in_m = self.program.in_m
         points_to = self._points_to
@@ -315,10 +363,10 @@ class Solution:
     def iter_named_canonical(self) -> "Iterator[Tuple[str, List[str]]]":
         """Stream the named canonical entries in sorted-name order.
 
-        Yields ``(name, sorted_pointee_names)`` for every pointer in M,
-        ordered by pointer name — exactly the iteration order of
-        :meth:`to_named_canonical`'s ``points_to`` dict under
-        ``sort_keys=True``.
+        Yields ``(name, sorted_pointee_names)`` of the stored set of
+        every pointer in M, ordered by pointer name — exactly the
+        iteration order of :meth:`to_named_canonical`'s ``points_to``
+        dict under ``sort_keys=True``.
         """
         named = functools.cache(self._pointee_names)
         for name, pointees in self._named_sets():
@@ -390,23 +438,24 @@ class Solution:
         ``program`` must be (an equal rebuild of) the constraint program
         the solution was extracted from — variable indexes are positional.
         Every pointer, pointee and E index is checked against
-        ``program``; one that does not fit raises :class:`ValueError`
-        (the cache layer then discards the entry).  Equal pointee sets
-        decode to one shared frozenset, so the decoded solution keeps
-        the MDE-style sharing of a freshly extracted one.
+        ``program``, and a set holding Ω must not list a member of E;
+        a violation raises :class:`ValueError` (the cache layer then
+        discards the entry).  Equal pointee sets decode to one shared
+        frozenset, so the decoded solution keeps the MDE-style sharing
+        of a freshly extracted one.
         """
         n = program.num_vars
+        external = frozenset(data["external"])
+        _check_indexes(external, n, "external location")
         decoded: Dict[FrozenSet, FrozenSet] = {}
         points_to: Dict[int, FrozenSet] = {}
         for p, wire in data["points_to"]:
             wire = frozenset(wire)
             pointees = decoded.get(wire)
             if pointees is None:
-                pointees = decoded[wire] = _decode_pointees(wire, n)
+                pointees = decoded[wire] = _decode_pointees(wire, n, external)
             points_to[p] = pointees
         _check_indexes(frozenset(points_to), n, "pointer")
-        external = frozenset(data["external"])
-        _check_indexes(external, n, "external location")
         return cls(
             program,
             points_to,

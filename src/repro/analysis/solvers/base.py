@@ -245,6 +245,11 @@ class SolverState:
         representative's shared frozenset — the single extraction pass
         produces the final original-universe solution.
 
+        Sets holding Ω are emitted in the stored form of
+        :mod:`repro.analysis.solution`: ``(Sol(p) \\ E) ∪ {Ω}``.  The
+        members of E are dropped from the backend value before it is
+        decoded, so a bitset subtracts them on the packed int.
+
         IP and EP share the loop; EP differs only in its lift, its Ω
         skip and its E, all chosen before the loop.  (EP programs carry
         no Table II flags and EP visits never mark ``pte``, so the loop's
@@ -266,35 +271,43 @@ class SolverState:
 
         omega = program.omega
         in_p = program.in_p
+        omega_only = frozenset((OMEGA,))
         if omega is None:
             # IP: E is the locations marked externally accessible.
-            located = (
+            located = [
                 x
                 for x in compress(range(program.num_vars), program.in_m)
                 if self.ea[x]
-            )
+            ]
             lift = remapped
         else:
             # EP: E is Sol(Ω) without Ω itself; Ω is not a pointer of
-            # the answer, and inside a set it becomes the OMEGA token.
-            located = (x for x in self.full_sol(find(omega)) if x != omega)
+            # the answer, and inside a set it becomes the OMEGA token,
+            # which leaves E implicit.
+            located = [x for x in self.full_sol(find(omega)) if x != omega]
             in_p = list(in_p)
             in_p[omega] = False
             # new2old is injective: only the compact Ω maps to the
             # original Ω index, so dropping it after the bulk remap is
             # exact.
             omega_set = remapped((omega,))
-            wire = frozenset((OMEGA,))
 
             def lift(full):
                 # One membership probe + C-level set ops beat a
                 # per-member conditional: Ω is in at most one slot.
                 if omega in full:
-                    return remapped(full) - omega_set | wire
+                    rest = full - located_mask
+                    # Dropping E is lossless only if the set holds all
+                    # of it (internals §6); a broken solve must not hide.
+                    if len(full) - len(rest) != len(located):
+                        raise AssertionError(
+                            "EP set holding Ω lacks part of E (internals §6)"
+                        )
+                    return remapped(rest) - omega_set | omega_only
                 return remapped(full)
 
         external = remapped(located)
-        ext_plus = external | {OMEGA}
+        located_mask = self.pts.mask(located)
         intern = InternTable()
         key_of = self.pts.cache_key
         empty_sol = None
@@ -326,9 +339,10 @@ class SolverState:
                         k = (k, self.pte[r])
                         s = by_key.get(k)
                     if s is None:
-                        s = lift(full)
                         if self.pte[r]:
-                            s = s | ext_plus
+                            s = lift(full - located_mask) | omega_only
+                        else:
+                            s = lift(full)
                         s = intern.intern(s)
                         if k is not None:
                             by_key[k] = s

@@ -288,33 +288,35 @@ class NaiveSolver:
                 total += len(self.sol[r])
         self.stats.explicit_pointees = total
         intern = InternTable()
+        omega_only = frozenset((OMEGA,))
+        points_to: Dict[int, FrozenSet] = {}
+        # A set holding Ω leaves E implicit (repro.analysis.solution).
         if self.ep_mode:
             omega = program.omega
             assert omega is not None
             sol_omega = self.sol[self._rep[omega]]
             external = frozenset(x for x in sol_omega if x != omega)
-            points_to: Dict[int, FrozenSet] = {}
             for p in range(n):
                 if not program.in_p[p] or p == omega:
                     continue
-                points_to[p] = intern.intern(
-                    frozenset(
-                        OMEGA if x == omega else x for x in self.sol[self._rep[p]]
-                    )
-                )
-            self.stats.shared_sets = len(intern)
-            return Solution(program, points_to, external, self.stats)
-        external = frozenset(
-            x for x in range(n) if self.ea[x] and program.in_m[x]
-        )
-        ext_plus = external | {OMEGA}
-        points_to = {}
-        for p in range(n):
-            if not program.in_p[p]:
-                continue
-            s = frozenset(self.sol[self._rep[p]])
-            if self.pte[self._rep[p]]:
-                s = s | ext_plus
-            points_to[p] = intern.intern(s)
+                s = frozenset(self.sol[self._rep[p]])
+                if omega in s:
+                    if not external <= s:
+                        raise AssertionError(
+                            "EP set holding Ω lacks part of E (internals §6)"
+                        )
+                    s = s - external - {omega} | omega_only
+                points_to[p] = intern.intern(s)
+        else:
+            external = frozenset(
+                x for x in range(n) if self.ea[x] and program.in_m[x]
+            )
+            for p in range(n):
+                if not program.in_p[p]:
+                    continue
+                s = frozenset(self.sol[self._rep[p]])
+                if self.pte[self._rep[p]]:
+                    s = s - external | omega_only
+                points_to[p] = intern.intern(s)
         self.stats.shared_sets = len(intern)
         return Solution(program, points_to, external, self.stats)

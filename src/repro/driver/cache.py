@@ -38,7 +38,9 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: bump to invalidate every existing entry (e.g. when the canonical
 #: solution encoding or the stats schema changes shape)
-CACHE_SCHEMA = 3  # 3: header line with the payload checksum
+#: 3: header line with the payload checksum
+#: 4: solutions leave E implicit in every set holding Ω
+CACHE_SCHEMA = 4
 
 
 def _compact(data: Any) -> str:

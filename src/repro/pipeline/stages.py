@@ -7,7 +7,7 @@ split into explicit stages, each producing a content-addressed artifact:
 stage     artifact                     cache key hashes
 ========  ===========================  ==============================
 source    :class:`SourceArtifact`      the source text itself
-parse     AST translation unit         (in-memory memo by source digest)
+parse     AST translation unit         (not kept: each lower parses afresh)
 lower     :class:`repro.ir.Module`     (in-memory memo by source digest)
 constr    :class:`ConstraintsArtifact` source digest + summaries tag
 link      :class:`LinkArtifact`        member program digests + options
@@ -18,9 +18,9 @@ The ``constraints``, ``link`` and ``solve`` stages persist to the
 driver's :class:`~repro.driver.cache.ResultCache` (when one is given)
 under the ``stages/`` namespace; ``parse`` and ``lower`` produce live
 object graphs (AST/IR) that are cheap relative to their serialised
-size, so they are memoised in-process only — a disk hit on the
-*constraints* stage means they never run at all, which is exactly how a
-configuration-only change skips parsing.
+size, so only the lowered module is memoised, in-process — a disk hit
+on the *constraints* stage means they never run at all, which is
+exactly how a configuration-only change skips parsing.
 
 Every stage key embeds a per-stage version string, bumped whenever the
 artifact encoding or the producing algorithm changes meaning.
@@ -32,7 +32,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.config import Configuration, prepare_program, solve_prepared
 from ..analysis.constraints import ConstraintProgram
@@ -158,7 +158,7 @@ class StageStats:
     runs: int = 0  # times the stage actually did its work
     hits: int = 0  # disk-cache hits (persistent stages only)
     misses: int = 0
-    memo_hits: int = 0  # in-process memo hits (parse/lower)
+    memo_hits: int = 0  # in-process memo hits (lower)
     seconds: float = 0.0
 
     def to_dict(self, timings: bool = True) -> Dict:
@@ -248,7 +248,6 @@ class Pipeline:
         # Memo keys include the TU *name*: two identical sources under
         # different names are still distinct modules (and must carry
         # their own names into linker diagnostics).
-        self._units: Dict[tuple, object] = {}  # (name, digest) → AST unit
         self._modules: Dict[tuple, Module] = {}  # (name, digest) → Module
         # Guards the memos and stage stats: the serve fleet derives
         # member bindings on reader threads while the writer rebuilds
@@ -280,21 +279,22 @@ class Pipeline:
         return SourceArtifact.of(name, text)
 
     def parse(self, src: SourceArtifact):
-        """Source → AST translation unit (in-memory memo)."""
-        unit = self._units.get((src.name, src.digest))
-        if unit is not None:
-            self._bump("parse", "memo_hits")
-            return unit
+        """Source → AST translation unit.
+
+        Not memoised: semantic analysis annotates the AST in place, so
+        every :meth:`lower` gets a fresh one, and two threads lowering
+        one unit never share it.
+        """
         with self._timed("parse"):
             text = preprocess(src.text, filename=src.name)
             unit = parse(text, src.name)
         self._bump("parse", "runs")
-        self._units[(src.name, src.digest)] = unit
         return unit
 
     def lower(self, src: SourceArtifact) -> Module:
         """AST translation unit → verified ir.Module (in-memory memo)."""
-        module = self._modules.get((src.name, src.digest))
+        key = (src.name, src.digest)
+        module = self._modules.get(key)
         if module is not None:
             self._bump("lower", "memo_hits")
             return module
@@ -304,8 +304,17 @@ class Pipeline:
             verify_module(module)
             compute_address_taken(module)
         self._bump("lower", "runs")
-        self._modules[(src.name, src.digest)] = module
+        with self._lock:
+            self._modules[key] = module
         return module
+
+    def retain(self, keys: AbstractSet[Tuple[str, str]]) -> None:
+        """Drop every lower memo entry whose (name, digest) key is not
+        in ``keys``; a later :meth:`lower` of a dropped member runs the
+        frontend again."""
+        with self._lock:
+            for key in [key for key in self._modules if key not in keys]:
+                del self._modules[key]
 
     def constraints(self, src: SourceArtifact) -> ConstraintsArtifact:
         """ir.Module → constraint program (persistent stage).

@@ -16,7 +16,10 @@ happens for exactly the edited members — the others replay their
 existing :class:`~repro.pipeline.ConstraintsArtifact` (or their
 ``stages/`` disk-cache entry in a fresh process).  Linking and solving
 always re-run on the joint program (both are cached by content too, so
-an update that round-trips back to known text is nearly free).
+with a disk cache an update that round-trips back to known text is
+nearly free).  Each commit prunes those in-memory memos to the
+committed members, so they hold one entry per member however many
+edits a session serves.
 
 Rebuilds are transactional: a frontend or link error during
 ``open``/``update`` leaves the project serving its previous generation
@@ -31,7 +34,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.config import Configuration
 from ..analysis.frontend import ModuleConstraints, SummaryFn, build_constraints
-from ..analysis.omega import OMEGA
 from ..analysis.solution import Solution
 from ..analysis.api import DEFAULT_CONFIGURATION
 from ..driver.cache import ResultCache
@@ -172,11 +174,12 @@ class Snapshot:
     def omega_pointers(self) -> List[str]:
         """Names of memory-location pointers with Ω in their Sol set."""
         program = self.linked.program
-        names = []
-        for p in self.solution.pointers():
-            if program.in_m[p] and OMEGA in self.solution.points_to(p):
-                names.append(program.var_names[p])
-        return sorted(names)
+        solution = self.solution
+        return sorted(
+            program.var_names[p]
+            for p in solution.pointers()
+            if program.in_m[p] and solution.may_point_to_external(p)
+        )
 
     def imp_funcs(self) -> List[str]:
         """Names of functions still classified ImpFunc after linking."""
@@ -269,6 +272,7 @@ class Project:
             }
             snapshot = self._rebuild(sources)
             self._sources = sources
+            self._retain_committed()
             return snapshot
 
     def update(
@@ -297,6 +301,7 @@ class Project:
                 raise ValueError("update would leave the project empty")
             snapshot = self._rebuild(sources)
             self._sources = sources
+            self._retain_committed()
             return snapshot
 
     def restore(
@@ -331,9 +336,21 @@ class Project:
                 _pipeline=self.pipeline,
                 _summaries=self._summaries,
             )
+            self._retain_committed()
             return self._snapshot
 
     # ------------------------------------------------------------------
+
+    def _retain_committed(self) -> None:
+        """Prune the member and lower memos to the committed snapshot's
+        members (under the write lock, which guards the member memo),
+        so served edits do not pile up old modules and constraint
+        programs.  A reader still holding an older snapshot lowers an
+        evicted member again on demand."""
+        keys = {(src.name, src.digest) for src in self._snapshot.sources}
+        for key in [key for key in self._member_memo if key not in keys]:
+            del self._member_memo[key]
+        self.pipeline.retain(keys)
 
     def _member(self, src: SourceArtifact) -> ConstraintsArtifact:
         key = (src.name, src.digest)

@@ -61,12 +61,16 @@ __all__ = [
 
 #: bump whenever the envelope or the meaning of a method changes
 #: (2: multi-project tenancy — requests may carry ``project``, ok
-#: responses name the answering project)
-PROTOCOL_SCHEMA = 2
+#: responses name the answering project; 3: the named solution that
+#: ``solution`` and ``solve_constraints`` answer leaves E implicit in
+#: every set holding Ω)
+PROTOCOL_SCHEMA = 3
 
 #: request schemas the server still accepts; schema-1 requests address
-#: the default project and are otherwise identical
-ACCEPTED_SCHEMAS = (1, 2)
+#: the default project, and schema-1 and schema-2 requests are
+#: otherwise identical (every response carries the current schema, so
+#: a client that validates it against an older one fails loudly)
+ACCEPTED_SCHEMAS = (1, 2, 3)
 
 #: the tenant addressed when a request names no project
 DEFAULT_PROJECT = "default"

@@ -60,7 +60,9 @@ __all__ = [
 #:    member program digests recorded under schema 1 no longer match a
 #:    fresh build — schema-1 files cold-start instead of failing the
 #:    binding check
-STATE_SCHEMA = 2
+#: 3: the persisted solution leaves E implicit in every set holding Ω,
+#:    so a schema-2 file cold-starts instead of failing to decode
+STATE_SCHEMA = 3
 
 _SUFFIX = ".project.json"
 

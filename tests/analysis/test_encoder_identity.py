@@ -3,10 +3,12 @@
 ``Solution.to_canonical_dict``, ``iter_named_canonical`` /
 ``to_named_canonical`` and ``named_canonical_digest`` sort and encode
 each distinct interned Sol set once and reuse the result for every
-pointer that shares it.  The reference functions below are the
-per-pointer encoders they replaced, kept as the specification: every
-encoder must produce exactly their output, over the example corpus and a
-generated multi-TU linked program, crossed with both points-to backends,
+pointer that shares it.  The reference functions below are per-pointer
+encoders kept as the specification: each derives the stored
+(implicit-Ω) set from the expanded view ``points_to(p)`` — a set
+holding Ω lists only its members outside E — and every encoder must
+produce exactly their output, over the example corpus and a generated
+multi-TU linked program, crossed with both points-to backends,
 reduction on/off and both Ω representations.
 """
 
@@ -33,6 +35,12 @@ CORPUS = pathlib.Path(__file__).resolve().parents[2] / "examples" / "corpus"
 # ----------------------------------------------------------------------
 
 
+def reference_stored(solution, p):
+    """The specified stored form of Sol(p): with Ω, E stays implicit."""
+    full = solution.points_to(p)
+    return full - solution.external if OMEGA in full else full
+
+
 def reference_canonical(solution):
     return {
         "points_to": [
@@ -40,7 +48,7 @@ def reference_canonical(solution):
                 p,
                 sorted(
                     OMEGA_WIRE if x == OMEGA else x
-                    for x in solution.points_to(p)
+                    for x in reference_stored(solution, p)
                 ),
             ]
             for p in solution.pointers()
@@ -58,7 +66,8 @@ def reference_iter_named(solution):
     )
     for name, p in mem:
         yield name, sorted(
-            x if x == OMEGA else names[x] for x in solution.points_to(p)
+            x if x == OMEGA else names[x]
+            for x in reference_stored(solution, p)
         )
 
 
@@ -185,8 +194,8 @@ def test_equal_sets_held_as_distinct_objects():
             ("y", False, True),
         ]
     )
-    first = frozenset({4, 5, OMEGA})
-    second = frozenset({5, OMEGA, 4})
+    first = frozenset({5, OMEGA})
+    second = frozenset({OMEGA, 5})
     third = frozenset({5})
     assert first == second and first is not second
     solution = Solution(
@@ -198,7 +207,8 @@ def test_equal_sets_held_as_distinct_objects():
     assert_encoders_match(solution)
     named = solution.to_named_canonical()
     assert named["points_to"] == {"cell_a": ["y"], "cell_b": ["y"]}
-    assert solution.to_canonical_dict()["points_to"][0] == [0, [-1, 4, 5]]
+    assert solution.to_canonical_dict()["points_to"][0] == [0, [-1, 5]]
+    assert solution.points_to(0) == frozenset({4, 5, OMEGA})
 
 
 def test_one_set_shared_inside_and_outside_m():
@@ -211,7 +221,7 @@ def test_one_set_shared_inside_and_outside_m():
             ("obj", False, True),
         ]
     )
-    shared = frozenset({3, 4, OMEGA})
+    shared = frozenset({OMEGA})
     solution = Solution(
         program,
         {0: shared, 1: shared, 2: shared, 3: frozenset()},
@@ -220,12 +230,13 @@ def test_one_set_shared_inside_and_outside_m():
     )
     assert_encoders_match(solution)
     assert solution.to_named_canonical() == {
-        "points_to": {"glob": ["heap", "obj", OMEGA], "heap": []},
+        "points_to": {"glob": [OMEGA], "heap": []},
         "external": ["heap", "obj"],
     }
     wire = solution.to_canonical_dict()["points_to"]
     assert [p for p, _ in wire] == [0, 1, 2, 3]
-    assert wire[0][1] == wire[1][1] == wire[2][1] == [-1, 3, 4]
+    assert wire[0][1] == wire[1][1] == wire[2][1] == [-1]
+    assert solution.points_to(1) == frozenset({3, 4, OMEGA})
 
 
 # ----------------------------------------------------------------------

@@ -190,7 +190,7 @@ GOLDEN = [
         0,
         1,
         '{"external": ["x", "y"], "points_to": '
-        '{"x": ["x", "y", "\\u03a9"], "y": ["x", "y", "\\u03a9"]}}',
+        '{"x": ["\\u03a9"], "y": ["\\u03a9"]}}',
     ),
 ]
 

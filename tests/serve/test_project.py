@@ -2,8 +2,14 @@
 and the stage-counter proof that an update re-runs exactly the edited
 members through the frontend."""
 
+import itertools
+import sys
+import threading
+
 import pytest
 
+from repro.alias import AndersenAA, memory_accesses
+from repro.driver import ResultCache
 from repro.frontend import ParseError
 from repro.link import LinkError
 from repro.obs import Registry
@@ -25,6 +31,13 @@ void other(void) { gp = &y; }
 C = """
 extern int x;
 int *reader(void) { return &x; }
+"""
+
+
+D = """
+extern int *gp;
+int w;
+int *pick(int c) { int *q = &w; if (c) q = gp; return q; }
 """
 
 
@@ -97,12 +110,13 @@ class TestIncrementalUpdate:
         assert after["parse"] == before["parse"]
         assert after["constraints"] == before["constraints"]
 
-    def test_revert_edit_hits_member_memo(self):
-        project, _ = fresh_project()
+    def test_revert_edit_replays_from_stage_cache(self, tmp_path):
+        project, _ = fresh_project(cache=ResultCache(tmp_path / "cache"))
         project.open({"a.c": A, "b.c": B})
         project.update({"b.c": B + "\nint z;\n"})
         before = stage_runs(project)
-        # Round-tripping back to known text replays the memoised member.
+        # The commit pruned b.c's old text from the in-memory memos;
+        # round-tripping back to it replays its stages/ disk entry.
         project.update({"b.c": B})
         after = stage_runs(project)
         assert after["parse"] == before["parse"]
@@ -135,6 +149,98 @@ class TestIncrementalUpdate:
         project.open({"a.c": A})
         project.update({})
         assert registry.counter("serve.generations") == 2
+
+
+def alias_answers(binding):
+    """Andersen may_alias over every access pair of every function."""
+    aa = AndersenAA(binding)
+    answers = []
+    for fn in sorted(binding.module.defined_functions(), key=lambda f: f.name):
+        accesses = list(memory_accesses(fn))
+        for (_, pa, sa), (_, pb, sb) in itertools.product(accesses, repeat=2):
+            answers.append((fn.name, str(aa.alias(pa, sa, pb, sb))))
+    return answers
+
+
+def memo_sizes(project):
+    return len(project._member_memo), len(project.pipeline._modules)
+
+
+class TestMemosStayBounded:
+    """Each commit prunes the member and lower memos to the committed
+    snapshot's members."""
+
+    def test_edits_keep_every_memo_at_member_count(self):
+        project, registry = fresh_project()
+        old = project.open({"a.c": A, "b.c": B, "c.c": C, "d.c": D})
+        before = alias_answers(old.binding("a.c"))
+        assert {"NoAlias", "MayAlias"} <= {r for _, r in before}
+        # Same members, a later generation that has not bound a.c yet.
+        twin = project.update({})
+        assert memo_sizes(project) == (4, 4)
+        for i in range(50):
+            project.update({"a.c": A + f"\nint edit{i};\n"})
+            assert memo_sizes(project) == (4, 4)
+        # Readers holding an old snapshot still answer as before.
+        assert alias_answers(old.binding("a.c")) == before
+        # a.c's original module was evicted: the twin lowers it again.
+        runs = registry.counter("pipeline.lower.runs")
+        assert alias_answers(twin.binding("a.c")) == before
+        assert registry.counter("pipeline.lower.runs") == runs + 1
+
+    def test_restore_and_reopen_prune(self):
+        project, _ = fresh_project()
+        first = project.open({"a.c": A, "b.c": B, "c.c": C})
+        project.open({"a.c": A, "d.c": D})
+        assert memo_sizes(project) == (2, 2)
+        project.restore(
+            first.sources, first.members, first.linked, first.solution, 9
+        )
+        assert memo_sizes(project) == (3, 1)  # only a.c was lowered
+
+    def test_readers_relower_while_the_writer_prunes(self):
+        """Readers lowering an evicted member race the writer's pruning
+        commits; the memos stay consistent and bounded."""
+        project, _ = fresh_project()
+        old = project.open({"a.c": A, "b.c": B, "c.c": C, "d.c": D})
+        evicted = old.source("a.c")
+        errors, stop = [], threading.Event()
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    module = project.pipeline.lower(evicted)
+                    assert module.name == "a.c"
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(200):
+                project.update({"a.c": A + f"\nint edit{i};\n"})
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        project.update({})
+        assert memo_sizes(project) == (4, 4)
+
+    def test_failed_rebuild_prunes_nothing(self):
+        project, _ = fresh_project()
+        project.open({"a.c": A, "b.c": B})
+        with pytest.raises(LinkError):
+            project.update({"dup.c": "int x;\n"})  # x already defined
+        # The failed build's member stays memoised until the next commit.
+        assert memo_sizes(project) == (3, 3)
+        project.update({})
+        assert memo_sizes(project) == (2, 2)
 
 
 class TestTransactionality:
