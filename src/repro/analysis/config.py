@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
+from ..gcpause import paused
 from .constraints import ConstraintProgram
 from .omega import lower_to_explicit
 from .pts import DEFAULT_PTS_BACKEND, PTS_BACKENDS
@@ -281,7 +282,18 @@ def solve_prepared(
     cached EP twin), so the first solve pays for the rewrite and repeat
     solves over the same program (the benchmarks' timed repetitions)
     measure solving the already-reduced constraints.
+
+    The solve runs under the collector pause (:mod:`repro.gcpause`),
+    and the solver is freed by reference counting before the pause
+    ends, so its state never reaches the young-generation pass that
+    follows.
     """
+    with paused():
+        return _solve(prepared, config)
+
+
+def _solve(prepared: ConstraintProgram, config: Configuration) -> Solution:
+    # A frame of its own: the solver dies with it, before the pause ends.
     reduction = None
     original = prepared
     if config.reduce:

@@ -62,7 +62,12 @@ _MEMO_EXTFUNC = 6  # work & masks.extfunc → non-empty?
 
 
 class WorklistSolver:
-    """Configurable worklist solver for Andersen constraints."""
+    """Configurable worklist solver for Andersen constraints.
+
+    Single-use, as every caller treats it: construct, call
+    :meth:`solve` once, then read the solution (and, for inspection,
+    :attr:`state`).
+    """
 
     def __init__(
         self,
@@ -277,29 +282,42 @@ class WorklistSolver:
     # ------------------------------------------------------------------
 
     def solve(self) -> Solution:
+        """Run to the fixed point and extract the solution.
+
+        Whether it returns or raises, the solve ends by unhooking the
+        state's union callback and the detector, the two links back to
+        the solver, so reference counting frees the solver with its
+        state, worklist and detectors once the caller drops it
+        (internals §9, "The cyclic collector").
+        """
         st = self.state
         program = self.program
-        if not self.ep_mode:
-            # InΩ seeding: handle nodes externally accessible from the start.
-            seeds = [x for x in range(program.num_vars) if st.ea[x]]
-            for x in seeds:
-                st.ea[x] = False
-            for x in seeds:
-                self.mark_external(x)
-        if self.detector is not None:
-            self.detector.before_solve()
-        self._apply_pending_unions()
-        for v in range(program.num_vars):
-            self.worklist.push(st.find(v))
-        visit = self._visit_ep if self.ep_mode else self._visit_ip
-        while True:
-            n = self.worklist.pop()
-            if n is None:
-                break
-            n = st.find(n)
-            visit(n)
+        try:
+            if not self.ep_mode:
+                # InΩ seeding: handle nodes externally accessible from
+                # the start.
+                seeds = [x for x in range(program.num_vars) if st.ea[x]]
+                for x in seeds:
+                    st.ea[x] = False
+                for x in seeds:
+                    self.mark_external(x)
+            if self.detector is not None:
+                self.detector.before_solve()
             self._apply_pending_unions()
-        return st.extract_solution()
+            for v in range(program.num_vars):
+                self.worklist.push(st.find(v))
+            visit = self._visit_ep if self.ep_mode else self._visit_ip
+            while True:
+                n = self.worklist.pop()
+                if n is None:
+                    break
+                n = st.find(n)
+                visit(n)
+                self._apply_pending_unions()
+            return st.extract_solution()
+        finally:
+            st.on_union = None
+            self.detector = None
 
     # ------------------------------------------------------------------
 

@@ -31,8 +31,9 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.config import Configuration, prepare_program, solve_prepared
 from ..analysis.constraints import ConstraintProgram
@@ -40,6 +41,7 @@ from ..analysis.frontend import SummaryFn, build_constraints
 from ..analysis.solution import Solution
 from ..driver.cache import ResultCache
 from ..frontend import analyse, lower, parse, preprocess
+from ..gcpause import paused
 from ..ir.module import Module
 from ..ir.verifier import compute_address_taken, verify_module
 from ..link import LinkedProgram, LinkOptions, link_programs
@@ -173,38 +175,6 @@ class StageStats:
         return out
 
 
-class _Timed:
-    """Context manager accumulating wall time into a stage's stats (and,
-    when profiling, mirroring it onto the registry timer ``name``).
-    ``lock`` (when given) guards the stats accumulation — the serve
-    fleet runs one pipeline from several threads."""
-
-    def __init__(
-        self,
-        stats: StageStats,
-        registry: Registry = NULL_REGISTRY,
-        name: str = "",
-        lock: Optional[threading.Lock] = None,
-    ):
-        self.stats = stats
-        self.registry = registry
-        self.name = name
-        self.lock = lock
-
-    def __enter__(self) -> "_Timed":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        elapsed = time.perf_counter() - self._t0
-        if self.lock is not None:
-            with self.lock:
-                self.stats.seconds += elapsed
-        else:
-            self.stats.seconds += elapsed
-        self.registry.add_time(self.name, elapsed)
-
-
 # ----------------------------------------------------------------------
 # The pipeline
 # ----------------------------------------------------------------------
@@ -268,10 +238,22 @@ class Pipeline:
         # gauge's max-merge makes the sample count irrelevant.
         record_peak_rss(self.registry)
 
-    def _timed(self, stage: str) -> _Timed:
-        return _Timed(
-            self.stats[stage], self.registry, f"pipeline.{stage}", self._lock
-        )
+    @contextmanager
+    def _timed(self, stage: str) -> Iterator[None]:
+        """Run one stage's work under the collector pause
+        (:mod:`repro.gcpause`), adding its wall time to the stage's
+        stats and, when profiling, to the registry timer
+        ``pipeline.<stage>``.  The stats lock guards the accumulation:
+        the serve fleet runs one pipeline from several threads."""
+        t0 = time.perf_counter()
+        try:
+            with paused():
+                yield
+        finally:
+            elapsed = time.perf_counter() - t0
+            with self._lock:
+                self.stats[stage].seconds += elapsed
+            self.registry.add_time(f"pipeline.{stage}", elapsed)
 
     # ------------------------------------------------------------------
 

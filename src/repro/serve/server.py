@@ -41,11 +41,14 @@ worker busy until it finishes — a deadline is a latency bound for the
 *client*, not a cancellation.  Abandoned-but-running requests are
 visible: ``serve.timeouts`` counts them and ``status`` reports the
 current in-flight and abandoned depth, so operators can see the latency
-bound being hit instead of silently queueing behind it.
+bound being hit instead of silently queueing behind it.  ``status`` also
+reports the cyclic collector (``gc``: on or off, and collections and
+objects collected per generation).
 """
 
 from __future__ import annotations
 
+import gc
 import socket
 import sys
 import threading
@@ -82,6 +85,19 @@ SERVER_METHODS = (
     "shutdown",
     "solve_constraints",
 ) + QUERY_METHODS
+
+
+def _collector_status() -> Dict:
+    """The cyclic collector's state, from ``gc.get_stats()``: whether it
+    is on, and per generation (young first) how many collections ran
+    and how many objects they freed.  Process-wide and not
+    deterministic, so it stays out of the metrics registry."""
+    stats = gc.get_stats()
+    return {
+        "enabled": gc.isenabled(),
+        "collections": [g["collections"] for g in stats],
+        "collected": [g["collected"] for g in stats],
+    }
 
 
 class ProjectState:
@@ -525,6 +541,7 @@ class AnalysisServer:
                 "dir": str(self.state_dir) if self.state_dir else None,
                 **self.state_counts,
             },
+            "gc": _collector_status(),
         }
         if state.project.is_open:
             status["project"] = state.project.snapshot.summary()

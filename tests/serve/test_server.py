@@ -6,12 +6,14 @@ through the same ``handle_line`` entry point both transports use, plus
 real stdio and TCP sessions.
 """
 
+import gc
 import io
 import json
 import threading
 
 import pytest
 
+from repro.gcpause import holders
 from repro.obs import Registry, TraceWriter, read_trace
 from repro.serve import (
     AnalysisServer,
@@ -37,6 +39,17 @@ B = """
 extern int *gp;
 int y;
 void other(void) { gp = &y; }
+"""
+
+C = """
+extern int x;
+int *reader(void) { return &x; }
+"""
+
+D = """
+extern int *gp;
+int w;
+int *pick(int c) { int *q = &w; if (c) q = gp; return q; }
 """
 
 
@@ -183,6 +196,66 @@ class TestGenerationsAndQueries:
         ok_flags = [item["ok"] for item in result["results"]]
         assert ok_flags == [True, False, False]
         assert result["results"][1]["error"]["code"] == "invalid_params"
+
+
+class TestCollector:
+    """The collector is paused only inside pipeline stages and solves,
+    never across a request or the server loop."""
+
+    def test_status_reports_the_collector(self):
+        server, _ = make_server()
+        client = InProcessClient(server)
+        client.call("open", {"files": {"a.c": A, "b.c": B}})
+        client.call("update", {"files": {"b.c": B + "\nint z;\n"}})
+        block = client.call("status")["gc"]
+        assert block["enabled"] is True
+        assert len(block["collections"]) == len(block["collected"]) == 3
+        assert all(
+            isinstance(n, int) and n >= 0
+            for n in block["collections"] + block["collected"]
+        )
+
+    def test_edit_session_leaves_the_collector_on_and_the_heap_bounded(self):
+        # A small memo: superseded generations' answers stay in it until
+        # evicted, and this test is about everything else.
+        server, _ = make_server(workers=2, memo_entries=8)
+        writer = InProcessClient(server)
+        writer.call("open", {"files": {"a.c": A, "b.c": B, "c.c": C, "d.c": D}})
+        stop, errors, reads = threading.Event(), [], []
+
+        def read():
+            # Snapshot reads only: they never enter a pipeline stage, so
+            # the writer's checks below see its own holds alone.
+            reader = InProcessClient(server)
+            try:
+                while not stop.is_set():
+                    for var in ("gp", "x", "y", "w"):
+                        reader.call("points_to", {"var": var})
+                    reader.call("classify")
+                    reads.append(1)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        thread = threading.Thread(target=read)
+        thread.start()
+        try:
+            for i in range(1, 51):
+                result = writer.call(
+                    "update", {"files": {"a.c": A + f"\nint edit{i};\n"}}
+                )
+                assert result["stages"]["constraints"]["runs"] == 1
+                assert gc.isenabled() and holders() == 0, i
+                if i in (5, 50):
+                    gc.collect()
+                    tracked = len(gc.get_objects())
+                    if i == 5:
+                        after_five = tracked
+        finally:
+            stop.set()
+            thread.join(30)
+        assert not thread.is_alive() and errors == [] and reads
+        assert gc.isenabled() and holders() == 0
+        assert abs(tracked - after_five) < 1000, (after_five, tracked)
 
 
 class TestTimeoutAndShutdown:
