@@ -1039,8 +1039,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument(
             "--memo-max-entries", "--memo-entries", dest="memo_entries",
             type=_positive_int, default=1024, metavar="N",
-            help="per-project query-memo capacity, shared across"
-            " generations (--memo-entries is the old spelling)",
+            help="per-project query-memo capacity; each commit drops"
+            " the superseded generations' entries (--memo-entries is"
+            " the old spelling)",
         )
         _add_cache_options(p, "pipeline stage artifacts")
         _add_obs_options(p)

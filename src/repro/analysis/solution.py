@@ -19,8 +19,10 @@ wire/cache form, the named form and its digest, and the reports and
 served answers built from them.  :meth:`Solution.points_to` is the
 expanded view (:func:`repro.analysis.omega.concretize` of the stored
 set, memoised per distinct set) for clients that read Sol as a plain
-set.  Expansion is lossless: Ω ∈ Sol(p) implies E ⊆ Sol(p) under both
-IP and EP (docs/internals.md §2, §6).
+set; :meth:`Solution.stored_sets` hands the stored form to clients that
+handle Ω themselves (the escape audit).  Expansion is lossless:
+Ω ∈ Sol(p) implies E ⊆ Sol(p) under both IP and EP
+(docs/internals.md §2, §6).
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Tuple,
     Union,
@@ -233,6 +237,15 @@ class Solution:
         if full is None:
             full = self._expanded[s] = concretize(s, self.external)
         return full
+
+    def stored_sets(self) -> Mapping[int, FrozenSet]:
+        """Read-only pointer → stored Sol set, E left implicit.
+
+        For clients that handle Ω themselves: a set holding Ω lists only
+        its members outside E, so such a client adds :attr:`external`
+        where it needs it, once, instead of expanding every set.
+        """
+        return MappingProxyType(self._points_to)
 
     def points_to_name(self, name: str) -> FrozenSet:
         """Sol of the variable called ``name`` (convenience for tests)."""

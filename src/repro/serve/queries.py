@@ -3,10 +3,10 @@
 Every query method is a pure function of an immutable
 :class:`~repro.serve.project.Snapshot`, so answers are memoisable by
 ``(generation, method, params)`` — the :class:`LRUMemo` is shared across
-engine instances (the server carries it over updates) and old
-generations simply age out.  Canonical JSON params form the memo key,
-so two structurally equal queries hit the same entry regardless of key
-order on the wire.
+engine instances (the server carries it over updates), and each commit
+drops the superseded generations' entries.  Canonical JSON params form
+the memo key, so two structurally equal queries hit the same entry
+regardless of key order on the wire.
 
 Alias queries name memory *accesses*, not SSA values: a pair
 ``(member, function, index)`` identifies one load/store in
@@ -110,6 +110,21 @@ class LRUMemo:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evicted += 1
+
+    def retain_generation(self, generation: int) -> None:
+        """Drop every entry keyed on another generation (counted in
+        ``evicted``).
+
+        Called when ``generation`` commits: only a reader still holding
+        an older snapshot could hit an older entry, and it recomputes
+        the answer instead.  A late put from such a reader stays bounded
+        by the LRU and goes at the next commit.
+        """
+        with self._lock:
+            stale = [key for key in self._entries if key[0] != generation]
+            for key in stale:
+                del self._entries[key]
+            self.evicted += len(stale)
 
     def __len__(self) -> int:
         return len(self._entries)

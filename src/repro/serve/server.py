@@ -570,6 +570,7 @@ class AnalysisServer:
         state = self._state_or_create(project_id)
         with state.write_lock:
             snapshot = state.project.open(files)
+            state.memo.retain_generation(snapshot.generation)
             self._persist(state)
         return snapshot.summary(), snapshot.generation
 
@@ -599,6 +600,7 @@ class AnalysisServer:
                 ).items()
             }
             snapshot = state.project.update(changed, removed)
+            state.memo.retain_generation(snapshot.generation)
             after = state.project.stage_report(timings=False)
             self._persist(state)
         delta = {

@@ -184,6 +184,44 @@ class TestGenerationsAndQueries:
         engine.evaluate("points_to", {"var": "gp"})
         assert server.memo.hits == 2
 
+    def test_commits_drop_superseded_generations_from_the_memo(self):
+        server, _ = make_server()
+        client = InProcessClient(server)
+        client.call("open", {"files": {"a.c": A, "b.c": B}})
+
+        def read():
+            client.call("points_to", {"var": "gp"})
+            client.call("classify")
+
+        for i in range(10):
+            read()
+            client.call("update", {"files": {"b.c": B + f"\nint z{i};\n"}})
+        read()
+        memo = client.call("status")["memo"]
+        assert memo["entries"] == 2 and memo["stores"] == 22
+        assert memo["evicted"] == 20
+        assert {key[0] for key in server.memo._entries} == {11}
+        # A failed rebuild commits nothing and drops nothing.
+        response = client.request("update", {"files": {"b.c": "int ("}})
+        assert not response["ok"]
+        assert client.call("status")["memo"] == memo
+
+    def test_a_reader_of_a_superseded_snapshot_recomputes(self):
+        server, _ = make_server()
+        client = InProcessClient(server)
+        client.call("open", {"files": {"a.c": A, "b.c": B}})
+        old = server._engine_for_snapshot()
+        before = client.call("points_to", {"var": "gp"})
+        client.call("update", {"files": {"b.c": "int y;\n"}})
+        assert client.call("points_to", {"var": "gp"}) != before
+        misses = server.memo.misses
+        assert old.evaluate("points_to", {"var": "gp"}) == before
+        assert server.memo.misses == misses + 1
+        # Its late entry goes at the next commit.
+        assert {key[0] for key in server.memo._entries} == {1, 2}
+        client.call("update", {"files": {"b.c": B}})
+        assert len(server.memo) == 0
+
     def test_batch_mixes_successes_and_errors(self):
         server, _ = make_server()
         client = InProcessClient(server)
@@ -216,9 +254,7 @@ class TestCollector:
         )
 
     def test_edit_session_leaves_the_collector_on_and_the_heap_bounded(self):
-        # A small memo: superseded generations' answers stay in it until
-        # evicted, and this test is about everything else.
-        server, _ = make_server(workers=2, memo_entries=8)
+        server, _ = make_server(workers=2)
         writer = InProcessClient(server)
         writer.call("open", {"files": {"a.c": A, "b.c": B, "c.c": C, "d.c": D}})
         stop, errors, reads = threading.Event(), [], []
