@@ -57,6 +57,7 @@ from .solvers.cycles import (
 )
 from .solvers.naive import NaiveSolver
 from .solvers.orders import WORKLIST_ORDERS
+from .solvers.base import FixpointCarry
 from .solvers.ovs import compute_ovs_groups
 from .solvers.worklist import WorklistSolver
 
@@ -270,8 +271,22 @@ def _make_detector(
     return CombinedDetector(detectors)
 
 
+def supports_warm_start(config: Configuration) -> bool:
+    """Whether a solve under ``config`` can keep its fixpoint and start
+    from a previous one: IP with the worklist solver, in any order and
+    with any of its online techniques and OVS.  Reduce rewrites the
+    program it solves, so its fixpoints do not carry over."""
+    return (
+        config.representation == "IP"
+        and config.solver == "WL"
+        and not config.reduce
+    )
+
+
 def solve_prepared(
-    prepared: ConstraintProgram, config: Configuration
+    prepared: ConstraintProgram,
+    config: Configuration,
+    carry: Optional[FixpointCarry] = None,
 ) -> Solution:
     """Solve a program already passed through :func:`prepare_program`.
 
@@ -287,12 +302,23 @@ def solve_prepared(
     and the solver is freed by reference counting before the pause
     ends, so its state never reaches the young-generation pass that
     follows.
+
+    ``carry`` (only for configurations that :func:`supports_warm_start`;
+    the served project's update path) asks the worklist solver to keep
+    its fixpoint and, given ``carry.start``, to start from a previous
+    one (internals §3).
     """
+    if carry is not None and not supports_warm_start(config):
+        raise ValueError(f"{config.name} cannot carry a fixpoint")
     with paused():
-        return _solve(prepared, config)
+        return _solve(prepared, config, carry)
 
 
-def _solve(prepared: ConstraintProgram, config: Configuration) -> Solution:
+def _solve(
+    prepared: ConstraintProgram,
+    config: Configuration,
+    carry: Optional[FixpointCarry] = None,
+) -> Solution:
     # A frame of its own: the solver dies with it, before the pause ends.
     reduction = None
     original = prepared
@@ -326,6 +352,8 @@ def _solve(prepared: ConstraintProgram, config: Configuration) -> Solution:
             cycle_detector=_make_detector(config, prepared),
             presolve_unions=unions,
             pts=config.pts,
+            warm=carry.start if carry is not None else None,
+            keep=carry is not None,
         )
     if reduction is not None and reduction.new2old is not None:
         state = getattr(solver, "state", None)
@@ -334,6 +362,9 @@ def _solve(prepared: ConstraintProgram, config: Configuration) -> Solution:
             # universe during extraction — one pass, no expand step.
             state.remap = (original, reduction.new2old, reduction.alias_of)
     solution = solver.solve()
+    if carry is not None:
+        carry.fixpoint = solver.fixpoint
+        carry.warm = solver.warm_started
     if reduction is not None:
         if reduction.new2old is not None:
             if solution.program is not original:

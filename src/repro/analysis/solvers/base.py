@@ -23,14 +23,81 @@ with one native intersection instead of per-element Python tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..constraints import ConstraintProgram
 from ..omega import OMEGA
 from ..pts import InternTable, OpMemo, PTSBackend, get_backend
 from ..solution import Solution, SolverStats, attach_aliases
 from ..unionfind import UnionFind
+
+
+@dataclass(frozen=True)
+class Fixpoint:
+    """What a finished IP worklist solve knows beyond its Solution.
+
+    Plain lists of original variable indexes, with no reference to the
+    solver, so keeping one keeps no solver alive.  With the Solution's
+    stored sets and E it is the whole fixpoint a later solve can start
+    from (:class:`WarmStart`, internals §3).
+    """
+
+    #: variables whose representative carries Ω ⊒ p
+    pe: List[int]
+    #: (representative, its successor representatives) per simple-edge row
+    edges: List[Tuple[int, Tuple[int, ...]]]
+    #: (variable, its representative) for every unified variable
+    unions: List[Tuple[int, int]]
+    #: the offline (OVS) groups the solve was handed
+    groups: List[List[int]]
+
+
+@dataclass(frozen=True)
+class WarmStart:
+    """A previous generation's fixpoint, carried onto a program that
+    contains its program (see :func:`repro.link.contain`)."""
+
+    solution: Solution
+    fixpoint: Fixpoint
+    #: previous variable → variable of the program being solved
+    var_map: List[int]
+    #: variables of the program being solved that must be visited
+    queue: List[int]
+
+    def covers(self, groups: List[List[int]]) -> bool:
+        """True when every previous offline group, mapped, lies inside
+        one of ``groups``: the previous unions still join variables the
+        new program makes pointer-equivalent."""
+        group_of: Dict[int, int] = {}
+        for i, group in enumerate(groups):
+            for v in group:
+                group_of[v] = i
+        var_map = self.var_map
+        for group in self.fixpoint.groups:
+            first = group_of.get(var_map[group[0]])
+            if first is None or any(
+                group_of.get(var_map[v]) != first for v in group
+            ):
+                return False
+        return True
+
+
+@dataclass
+class FixpointCarry:
+    """A caller's request to carry a worklist fixpoint across solves.
+
+    The served :class:`~repro.serve.project.Project` passes one to each
+    solve of a generation; no other caller keeps fixpoints.  ``start``
+    (set by the caller) is the warm start to seed from, or None for a
+    cold solve; the solve sets ``fixpoint`` to its own fixpoint and
+    ``warm`` to whether it started from ``start``.
+    """
+
+    start: Optional[WarmStart] = None
+    fixpoint: Optional[Fixpoint] = None
+    warm: bool = False
 
 
 class ProgramMasks:
@@ -214,6 +281,96 @@ class SolverState:
         self.succ[src].add(dst)
         self.stats.edges_added += 1
         return True
+
+    # ------------------------------------------------------------------
+    # Warm starts (internals §3)
+    # ------------------------------------------------------------------
+
+    def fixpoint(self, groups: List[List[int]]) -> Fixpoint:
+        """This state's fixpoint beyond the Solution, as plain lists."""
+        n = self.program.num_vars
+        if not self.any_unions:
+            # Every variable is its own representative.
+            return Fixpoint(
+                pe=list(compress(range(n), self.pe)),
+                edges=[
+                    (r, tuple(row)) for r, row in enumerate(self.succ) if row
+                ],
+                unions=[],
+                groups=groups,
+            )
+        find = self.uf.find
+        reps = [find(v) for v in range(n)]
+        pe = self.pe
+        return Fixpoint(
+            pe=[v for v in range(n) if pe[reps[v]]],
+            edges=[
+                (r, tuple(row))
+                for r in range(n)
+                if reps[r] == r
+                for row in (self.canonical_succ(r),)
+                if row
+            ],
+            unions=[(v, r) for v, r in enumerate(reps) if v != r],
+            groups=groups,
+        )
+
+    def _seed_targets(self, var_map: List[int]) -> List[int]:
+        """The representative of each previous variable's image."""
+        if not self.any_unions:
+            return var_map
+        find = self.uf.find
+        return [find(v) for v in var_map]
+
+    def seed(self, start: WarmStart) -> None:
+        """Lay ``start``'s fixpoint onto this fresh state.
+
+        Everything lands on union-find representatives: the previous
+        unions are replayed first, then each stored set minus Ω joins
+        its image's representative's Sol_e, Ω becomes ``pte``, the
+        previous ``pe`` flags are set, E becomes ``ea`` (without the
+        side effects of marking it, which the previous solve applied),
+        and every previous simple edge joins the two representatives.
+        Union survivors are announced through :attr:`on_union` as in
+        any solve.
+        """
+        fixpoint = start.fixpoint
+        var_map = start.var_map
+        for v, r in fixpoint.unions:
+            self.union(var_map[v], var_map[r])
+        target = self._seed_targets(var_map)
+        image = var_map.__getitem__
+        from_iter = self.pts.from_iter
+        sol, pte = self.sol, self.pte
+        mapped: Dict[int, object] = {}  # id(stored set) → its image
+        omega_only = frozenset((OMEGA,))
+        for p, stored in start.solution.stored_sets().items():
+            if not stored:
+                continue
+            key = id(stored)
+            value = mapped.get(key)
+            if value is None:
+                value = mapped[key] = from_iter(
+                    map(image, stored - omega_only)
+                )
+            r = target[p]
+            if OMEGA in stored:
+                pte[r] = True
+            if value:
+                sol[r] |= value
+        pe = self.pe
+        for v in fixpoint.pe:
+            pe[target[v]] = True
+        ea = self.ea
+        for x in start.solution.external:
+            ea[var_map[x]] = True
+        self.ea_mask = self.pts.from_iter(compress(range(len(ea)), ea))
+        succ = self.succ
+        for r, row in fixpoint.edges:
+            a = target[r]
+            out = succ[a]
+            out.update(target[d] for d in row)
+            out.discard(a)
 
     # ------------------------------------------------------------------
 

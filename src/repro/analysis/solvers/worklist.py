@@ -43,12 +43,13 @@ Pointee sets go through the pluggable :mod:`repro.analysis.pts` backend
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..constraints import CallConstraint, ConstraintProgram, FuncConstraint
 from ..pts import PTSBackend
 from ..solution import Solution
-from .base import SolverState
+from .base import Fixpoint, SolverState, WarmStart
 from .orders import TopoWorklist, Worklist, WORKLIST_ORDERS
 
 # Operation-memo tags: one per (operation, mask) role, shared between
@@ -67,6 +68,14 @@ class WorklistSolver:
     Single-use, as every caller treats it: construct, call
     :meth:`solve` once, then read the solution (and, for inspection,
     :attr:`state`).
+
+    ``warm`` (IP only) starts the solve from a previous generation's
+    fixpoint instead of from the base constraints: the state is seeded
+    through its union-find and only ``warm.queue`` starts on the
+    worklist (internals §3).  A warm start whose offline groups the
+    new program's no longer cover is dropped, and the solve runs cold;
+    :attr:`warm_started` says which happened.  With ``keep`` the solve
+    leaves its own fixpoint in :attr:`fixpoint` for the next one.
     """
 
     def __init__(
@@ -79,11 +88,17 @@ class WorklistSolver:
         presolve_unions: Optional[Iterable[Sequence[int]]] = None,
         pip_additions: Optional[Iterable[int]] = None,
         pts: Union[str, PTSBackend] = "set",
+        warm: Optional[WarmStart] = None,
+        keep: bool = False,
     ):
         self.program = program
         self.ep_mode = program.omega is not None
         if pip and self.ep_mode:
             raise ValueError("PIP requires the implicit pointee representation")
+        if warm is not None and self.ep_mode:
+            raise ValueError(
+                "a warm start requires the implicit pointee representation"
+            )
         self.pip = pip
         #: which of Algorithm 1's PIP additions 1–4 are active (for the
         #: ablation study; all four in normal operation)
@@ -112,17 +127,27 @@ class WorklistSolver:
             self.worklist.successors = self.state.canonical_succ
         self.detector = cycle_detector
         self._pending_unions: List[Tuple[int, int]] = []
+        groups = [list(group) for group in presolve_unions or ()]
+        if warm is not None and not warm.covers(groups):
+            warm = None
+        #: True when the solve starts from a previous fixpoint
+        self.warm_started = warm is not None
+        #: with ``keep``, set by :meth:`solve`: the fixpoint it reached
+        self.fixpoint: Optional[Fixpoint] = None
+        self._keep_groups = groups if keep else None
         #: nodes whose flags or constraints changed since their last full
-        #: scan (forces full—not delta—processing under DP)
-        self._dirty: Set[int] = set(range(program.num_vars))
-        if presolve_unions:
-            for group in presolve_unions:
-                it = iter(group)
-                first = next(it, None)
-                if first is None:
-                    continue
-                for other in it:
-                    self.state.union(first, other)
+        #: scan (forces full—not delta—processing under DP); a warm start
+        #: marks only its queue
+        self._dirty: Set[int] = (
+            set(range(program.num_vars)) if warm is None else set()
+        )
+        for group in groups:
+            for other in group[1:]:
+                self.state.union(group[0], other)
+        self._queue: Sequence[int] = range(program.num_vars)
+        if warm is not None:
+            self.state.seed(warm)
+            self._queue = warm.queue
         if self.detector is not None:
             self.detector.attach(self)
 
@@ -294,9 +319,12 @@ class WorklistSolver:
         program = self.program
         try:
             if not self.ep_mode:
-                # InΩ seeding: handle nodes externally accessible from
-                # the start.
-                seeds = [x for x in range(program.num_vars) if st.ea[x]]
+                # InΩ seeding: handle the program's externally
+                # accessible nodes (a warm start's E is already marked,
+                # so re-marking those queues nothing).
+                seeds = list(
+                    compress(range(program.num_vars), program.flag_ea)
+                )
                 for x in seeds:
                     st.ea[x] = False
                 for x in seeds:
@@ -304,7 +332,9 @@ class WorklistSolver:
             if self.detector is not None:
                 self.detector.before_solve()
             self._apply_pending_unions()
-            for v in range(program.num_vars):
+            if self.warm_started:
+                self._dirty.update(st.find(v) for v in self._queue)
+            for v in self._queue:
                 self.worklist.push(st.find(v))
             visit = self._visit_ep if self.ep_mode else self._visit_ip
             while True:
@@ -314,7 +344,10 @@ class WorklistSolver:
                 n = st.find(n)
                 visit(n)
                 self._apply_pending_unions()
-            return st.extract_solution()
+            solution = st.extract_solution()
+            if self._keep_groups is not None:
+                self.fixpoint = st.fixpoint(self._keep_groups)
+            return solution
         finally:
             st.on_union = None
             self.detector = None

@@ -59,7 +59,7 @@ class LexError(SyntaxError):
 
 
 _SIMPLE_ESCAPES = {
-    "n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
+    "n": "\n", "t": "\t", "r": "\r", "\\": "\\",
     "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
 }
 

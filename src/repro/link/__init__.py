@@ -11,17 +11,21 @@ visible.
 """
 
 from .linker import (
+    Containment,
     LinkedProgram,
     LinkError,
     LinkOptions,
     SymbolResolution,
+    contain,
     link_programs,
 )
 
 __all__ = [
+    "Containment",
     "LinkError",
     "LinkOptions",
     "LinkedProgram",
     "SymbolResolution",
+    "contain",
     "link_programs",
 ]

@@ -38,10 +38,25 @@ chain (the Hypothesis property suite checks exactly this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..analysis.constraints import ConstraintProgram, ProgramSymbol
+from ..analysis.constraints import (
+    CallConstraint,
+    ConstraintProgram,
+    FuncConstraint,
+    ProgramSymbol,
+)
 from ..obs import Registry, scope as _obs_scope
 
 
@@ -133,6 +148,9 @@ class LinkedProgram:
     var_maps: Dict[str, List[int]]
     #: per non-internal symbol name, its link-time resolution
     resolutions: Dict[str, SymbolResolution]
+    _summary: Optional[Dict[str, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
 
@@ -155,14 +173,19 @@ class LinkedProgram:
         )
 
     def summary(self) -> Dict[str, int]:
-        return {
-            "members": len(self.members),
-            "joint_vars": self.program.num_vars,
-            "joint_constraints": self.program.num_constraints(),
-            "symbols": len(self.resolutions),
-            "resolved_imports": len(self.resolved_imports()),
-            "unresolved_imports": len(self.unresolved_imports()),
-        }
+        """Member, variable, constraint and symbol counts.  Computed on
+        the first call and kept (a linked program is never edited):
+        every served ``open``, ``update`` and ``status`` reports it."""
+        if self._summary is None:
+            self._summary = {
+                "members": len(self.members),
+                "joint_vars": self.program.num_vars,
+                "joint_constraints": self.program.num_constraints(),
+                "symbols": len(self.resolutions),
+                "resolved_imports": len(self.resolved_imports()),
+                "unresolved_imports": len(self.unresolved_imports()),
+            }
+        return dict(self._summary)
 
     # ------------------------------------------------------------------
     # Canonical serialisation (pipeline stage cache)
@@ -255,6 +278,114 @@ def resolve_symbols(
     return occurrences
 
 
+def _renumber(
+    linked: ConstraintProgram,
+    program: ConstraintProgram,
+    rep: Dict[str, int],
+) -> List[int]:
+    """Append one member's variables to ``linked``; returns its
+    original → joint map.
+
+    A non-internal symbol whose name is already in ``rep`` maps onto
+    that representative (widening its ``in_p``); every other variable
+    gets the next joint index, in member order.  The runs of fresh
+    variables between two merged ones are appended with whole-list
+    operations, so the per-variable work is one map entry.
+    """
+    n = program.num_vars
+    sym_by_var = {
+        s.var: s for s in program.symbols.values() if s.linkage != "internal"
+    }
+    merged = sorted(v for v, s in sym_by_var.items() if s.name in rep)
+    fresh = [v for v in sym_by_var if sym_by_var[v].name not in rep]
+    mapping: List[int] = []
+    runs: List[Tuple[int, int]] = []  # [lo, hi) runs of fresh variables
+    start = linked.num_vars
+    lo = 0
+    for v in merged + [n]:
+        if v > lo:
+            mapping.extend(range(start, start + v - lo))
+            start += v - lo
+            runs.append((lo, v))
+        if v < n:
+            j = rep[sym_by_var[v].name]
+            # Classification must agree across occurrences; tolerate a
+            # pointer-compatible occurrence widening the joint var.
+            if program.in_p[v]:
+                linked.in_p[j] = True
+            mapping.append(j)
+        lo = v + 1
+    for lo, hi in runs:
+        linked.var_names.extend(program.var_names[lo:hi])
+        linked.in_p.extend(program.in_p[lo:hi])
+        linked.in_m.extend(program.in_m[lo:hi])
+    added = start - len(linked.base)
+    linked.base.extend(set() for _ in range(added))
+    linked.simple_out.extend(set() for _ in range(added))
+    linked.load_from.extend([] for _ in range(added))
+    linked.store_into.extend([] for _ in range(added))
+    cleared = [False] * added
+    for flags in (
+        linked.flag_ea,
+        linked.flag_pte,
+        linked.flag_pe,
+        linked.flag_sscalar,
+        linked.flag_lscalar,
+        linked.flag_impfunc,
+        linked.flag_extfunc,
+        linked.flag_extcall,
+    ):
+        flags.extend(cleared)
+    for v in fresh:
+        rep[sym_by_var[v].name] = mapping[v]
+    return mapping
+
+
+def _copy_member(
+    linked: ConstraintProgram, program: ConstraintProgram, m: List[int]
+) -> None:
+    """OR one member's constraints and semantic flags into ``linked``
+    through its joint map ``m``, visiting only non-empty rows."""
+    mget = m.__getitem__
+    n = program.num_vars
+    for v in compress(range(n), program.base):
+        linked.base[m[v]].update(map(mget, program.base[v]))
+    for v in compress(range(n), program.simple_out):
+        j = m[v]
+        out = linked.simple_out[j]
+        out.update(map(mget, program.simple_out[v]))
+        out.discard(j)
+    for v in compress(range(n), program.load_from):
+        linked.load_from[m[v]].extend(map(mget, program.load_from[v]))
+    for v in compress(range(n), program.store_into):
+        linked.store_into[m[v]].extend(map(mget, program.store_into[v]))
+    for source, target in (
+        (program.flag_pte, linked.flag_pte),
+        (program.flag_pe, linked.flag_pe),
+        (program.flag_sscalar, linked.flag_sscalar),
+        (program.flag_lscalar, linked.flag_lscalar),
+    ):
+        for v in compress(range(n), source):
+            target[m[v]] = True
+    linkage_ea = program.linkage_ea
+    for v in compress(range(n), program.flag_ea):
+        if v not in linkage_ea:
+            linked.mark_externally_accessible(m[v])  # semantic
+    for fc in program.funcs:
+        linked.add_func(
+            m[fc.func],
+            None if fc.ret is None else m[fc.ret],
+            [None if a is None else m[a] for a in fc.args],
+            variadic=fc.variadic,
+        )
+    for cc in program.calls:
+        linked.add_call(
+            m[cc.target],
+            None if cc.ret is None else m[cc.ret],
+            [None if a is None else m[a] for a in cc.args],
+        )
+
+
 def link_programs(
     programs: Sequence[ConstraintProgram],
     options: Optional[LinkOptions] = None,
@@ -299,67 +430,12 @@ def link_programs(
     var_maps: Dict[str, List[int]] = {}
     with _obs_scope(registry, "link.renumber"):
         for program in programs:
-            sym_by_var = {
-                s.var: s
-                for s in program.symbols.values()
-                if s.linkage != "internal"
-            }
-            mapping: List[int] = []
-            for v in range(program.num_vars):
-                sym = sym_by_var.get(v)
-                if sym is not None and sym.name in rep:
-                    j = rep[sym.name]
-                    # Classification must agree across occurrences;
-                    # tolerate a pointer-compatible occurrence widening
-                    # the joint var.
-                    if program.in_p[v]:
-                        linked.in_p[j] = True
-                else:
-                    j = linked.add_var(
-                        program.var_names[v], program.in_p[v], program.in_m[v]
-                    )
-                    if sym is not None:
-                        rep[sym.name] = j
-                mapping.append(j)
-            var_maps[program.name] = mapping
+            var_maps[program.name] = _renumber(linked, program, rep)
 
     # --- pass 2: copy constraints and semantic flags ------------------
     with _obs_scope(registry, "link.copy"):
         for program in programs:
-            m = var_maps[program.name]
-            for v in range(program.num_vars):
-                j = m[v]
-                linked.base[j].update(m[x] for x in program.base[v])
-                linked.simple_out[j].update(
-                    m[x] for x in program.simple_out[v] if m[x] != j
-                )
-                linked.load_from[j].extend(m[x] for x in program.load_from[v])
-                linked.store_into[j].extend(
-                    m[x] for x in program.store_into[v]
-                )
-                if program.flag_pte[v]:
-                    linked.flag_pte[j] = True
-                if program.flag_pe[v]:
-                    linked.flag_pe[j] = True
-                if program.flag_sscalar[v]:
-                    linked.flag_sscalar[j] = True
-                if program.flag_lscalar[v]:
-                    linked.flag_lscalar[j] = True
-                if program.flag_ea[v] and v not in program.linkage_ea:
-                    linked.mark_externally_accessible(j)  # semantic
-            for fc in program.funcs:
-                linked.add_func(
-                    m[fc.func],
-                    None if fc.ret is None else m[fc.ret],
-                    [None if a is None else m[a] for a in fc.args],
-                    variadic=fc.variadic,
-                )
-            for cc in program.calls:
-                linked.add_call(
-                    m[cc.target],
-                    None if cc.ret is None else m[cc.ret],
-                    [None if a is None else m[a] for a in cc.args],
-                )
+            _copy_member(linked, program, var_maps[program.name])
 
     # --- pass 3: de-escape (recompute linkage seeds) ------------------
     resolutions: Dict[str, SymbolResolution] = {}
@@ -442,3 +518,240 @@ def link_programs(
         var_maps=var_maps,
         resolutions=resolutions,
     )
+
+
+# ----------------------------------------------------------------------
+# Containment of a previous link (the served warm start)
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Containment:
+    """How a previous joint program sits inside a new one.
+
+    When contained, ``var_map`` maps every previous joint variable to
+    its new one (injectively) and ``queue`` lists the new joint
+    variables a warm-started solve must visit; otherwise ``var_map`` is
+    None and ``miss`` says why (``"member removed"``, ``"variable
+    map"`` or ``"not contained"``).
+    """
+
+    var_map: Optional[List[int]]
+    queue: List[int]
+    miss: Optional[str] = None
+
+
+def _missed(reason: str) -> Containment:
+    return Containment(None, [], reason)
+
+
+def _name_index(program: ConstraintProgram) -> Optional[Dict[str, int]]:
+    """Variable name → index, or None when a name repeats."""
+    index = {name: v for v, name in enumerate(program.var_names)}
+    return index if len(index) == program.num_vars else None
+
+
+def _rows_contained(
+    program: ConstraintProgram, m: List[int], joint: ConstraintProgram
+) -> bool:
+    """Every row and flag ``program`` contributed through ``m`` is in
+    ``joint`` (semantic escapes are checked with the joint ``ea``)."""
+    mget = m.__getitem__
+    rng = range(program.num_vars)
+    for v in compress(rng, program.base):
+        if not joint.base[m[v]].issuperset(map(mget, program.base[v])):
+            return False
+    for v in compress(rng, program.simple_out):
+        j = m[v]
+        row = set(map(mget, program.simple_out[v]))
+        row.discard(j)
+        if not row <= joint.simple_out[j]:
+            return False
+    for rows, joint_rows in (
+        (program.load_from, joint.load_from),
+        (program.store_into, joint.store_into),
+    ):
+        for v in compress(rng, rows):
+            if not set(joint_rows[m[v]]).issuperset(map(mget, rows[v])):
+                return False
+    for flags, joint_flags in (
+        (program.flag_pte, joint.flag_pte),
+        (program.flag_pe, joint.flag_pe),
+        (program.flag_sscalar, joint.flag_sscalar),
+        (program.flag_lscalar, joint.flag_lscalar),
+    ):
+        if not all(joint_flags[m[v]] for v in compress(rng, flags)):
+            return False
+    return True
+
+
+def _mapped_funcs(program: ConstraintProgram, m: List[int]) -> Set:
+    return {
+        FuncConstraint(
+            m[fc.func],
+            None if fc.ret is None else m[fc.ret],
+            tuple(None if a is None else m[a] for a in fc.args),
+            fc.variadic,
+        )
+        for fc in program.funcs
+    }
+
+
+def _mapped_calls(program: ConstraintProgram, m: List[int]) -> Set:
+    return {
+        CallConstraint(
+            m[cc.target],
+            None if cc.ret is None else m[cc.ret],
+            tuple(None if a is None else m[a] for a in cc.args),
+        )
+        for cc in program.calls
+    }
+
+
+def _grown(
+    old: ConstraintProgram,
+    new: ConstraintProgram,
+    inverse: List[int],
+    candidates: Iterable[int],
+) -> List[int]:
+    """The mapped ``candidates`` whose rows or flags grew.  Containment
+    holds, so a row grew exactly when it got longer."""
+    grown = []
+    for b in candidates:
+        a = inverse[b]
+        if a < 0:
+            continue
+        if (
+            len(new.base[b]) != len(old.base[a])
+            or len(new.simple_out[b]) != len(old.simple_out[a])
+            or len(set(new.load_from[b])) != len(set(old.load_from[a]))
+            or len(set(new.store_into[b])) != len(set(old.store_into[a]))
+            or new.flag_pte[b] > old.flag_pte[a]
+            or new.flag_pe[b] > old.flag_pe[a]
+            or new.flag_sscalar[b] > old.flag_sscalar[a]
+            or new.flag_lscalar[b] > old.flag_lscalar[a]
+        ):
+            grown.append(b)
+    return grown
+
+
+def contain(
+    old: LinkedProgram,
+    old_programs: Mapping[str, ConstraintProgram],
+    new: LinkedProgram,
+    new_programs: Mapping[str, ConstraintProgram],
+) -> Containment:
+    """Whether ``new``'s joint program contains ``old``'s, and how.
+
+    ``*_programs`` map member names to the member programs each link
+    was built from.  Every previous joint variable is mapped to a new
+    one: a member whose program object is unchanged maps through its
+    two ``var_maps`` entries, a rebuilt member by variable name within
+    the member.  Containment then means that, under the map, every
+    variable keeps ``in_p`` and ``in_m``, every previous ``base``,
+    ``simple_out``, ``load_from`` and ``store_into`` row and every
+    ``ea``, ``pte``, ``pe``, ``sscalar`` and ``lscalar`` flag is still
+    there, every previous Func and Call constraint is still there,
+    ``ImpFunc`` is unchanged and no previous variable gains a Func.
+
+    An unchanged member's rows are contained by construction, so only
+    the rebuilt members' rows are walked; the link-level facts (the
+    joint ``in_p``/``in_m``, ``ea`` and ``ImpFunc``) are checked for
+    every variable.  The queue is the new variables, the mapped ones
+    whose rows or flags grew, and the targets of new Call constraints
+    (internals §3).
+    """
+    if old.options != new.options:
+        return _missed("not contained")
+    if any(name not in new.var_maps for name in old.members):
+        return _missed("member removed")
+    before, after = old.program, new.program
+    var_map = [-1] * before.num_vars
+    rebuilt: List[str] = []
+    for name in old.members:
+        om, nm = old.var_maps[name], new.var_maps[name]
+        program = old_programs[name]
+        if program is new_programs[name]:
+            pairs: Iterable[Tuple[int, int]] = zip(om, nm)
+        else:
+            index = _name_index(new_programs[name])
+            if index is None or _name_index(program) is None:
+                return _missed("variable map")
+            try:
+                pairs = [
+                    (om[v], nm[index[var]])
+                    for v, var in enumerate(program.var_names)
+                ]
+            except KeyError:
+                return _missed("variable map")
+            rebuilt.append(name)
+        for a, b in pairs:
+            c = var_map[a]
+            if c != b:
+                if c != -1:
+                    return _missed("variable map")
+                var_map[a] = b
+    inverse = [-1] * after.num_vars
+    for a, b in enumerate(var_map):
+        if b < 0 or inverse[b] >= 0:
+            return _missed("variable map")
+        inverse[b] = a
+
+    # Link-level facts, for every variable.
+    if [after.in_p[b] for b in var_map] != before.in_p or [
+        after.in_m[b] for b in var_map
+    ] != before.in_m:
+        return _missed("not contained")
+    escaped = compress(range(before.num_vars), before.flag_ea)
+    if not all(after.flag_ea[var_map[a]] for a in escaped):
+        return _missed("not contained")
+    imp_old = sum(before.flag_impfunc)
+    imp_mapped = 0
+    for b in compress(range(after.num_vars), after.flag_impfunc):
+        a = inverse[b]
+        if a >= 0:
+            if not before.flag_impfunc[a]:
+                return _missed("not contained")
+            imp_mapped += 1
+    if imp_mapped != imp_old:
+        return _missed("not contained")
+
+    # The rebuilt members' rows, Funcs and Calls.
+    added = [name for name in new.members if name not in old.var_maps]
+    old_funcs: Set = set()
+    old_calls: Set = set()
+    for name in rebuilt:
+        program = old_programs[name]
+        m = [var_map[a] for a in old.var_maps[name]]
+        if not _rows_contained(program, m, after):
+            return _missed("not contained")
+        old_funcs |= _mapped_funcs(program, m)
+        old_calls |= _mapped_calls(program, m)
+    new_funcs: Set = set()
+    new_calls: Set = set()
+    candidates: Set[int] = set()
+    for name in rebuilt + added:
+        program, m = new_programs[name], new.var_maps[name]
+        new_funcs |= _mapped_funcs(program, m)
+        new_calls |= _mapped_calls(program, m)
+        candidates.update(m)
+    # A rebuilt member's constraint may now come from another member
+    # (or have come from one before): only what the focused sets miss
+    # is looked up in the whole joint program.
+    if not old_funcs <= new_funcs and not old_funcs <= set(after.funcs):
+        return _missed("not contained")
+    if not old_calls <= new_calls and not old_calls <= set(after.calls):
+        return _missed("not contained")
+    gained_funcs = new_funcs - old_funcs
+    if gained_funcs:
+        gained_funcs -= _mapped_funcs(before, var_map)
+        if any(inverse[fc.func] >= 0 for fc in gained_funcs):
+            return _missed("not contained")
+    gained_calls = new_calls - old_calls
+    if gained_calls:
+        gained_calls -= _mapped_calls(before, var_map)
+
+    queue = {b for b in candidates if inverse[b] < 0}
+    queue.update(_grown(before, after, inverse, sorted(candidates)))
+    queue.update(cc.target for cc in gained_calls)
+    return Containment(var_map, sorted(queue))

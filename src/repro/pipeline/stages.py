@@ -39,6 +39,7 @@ from ..analysis.config import Configuration, prepare_program, solve_prepared
 from ..analysis.constraints import ConstraintProgram
 from ..analysis.frontend import SummaryFn, build_constraints
 from ..analysis.solution import Solution
+from ..analysis.solvers.base import FixpointCarry
 from ..driver.cache import ResultCache
 from ..frontend import analyse, lower, parse, preprocess
 from ..gcpause import paused
@@ -105,25 +106,48 @@ class SourceArtifact:
         return cls(name, text, digest)
 
 
-@dataclass
 class ConstraintsArtifact:
-    """Phase-1 output of one TU: its constraint program."""
+    """Phase-1 output of one TU: its constraint program.
 
-    name: str
-    key: str
-    program: ConstraintProgram
-    #: content hash of the *program* (not the source) — downstream
-    #: stages chain on this, so two sources lowering to the same
-    #: constraints share link/solve entries
-    program_digest: str
-    from_cache: bool = False
+    :attr:`program_digest` is the content hash of the *program* (not
+    the source): downstream stage keys chain on it, so two sources
+    lowering to the same constraints share link/solve entries.  Only
+    cache keys, the served binding check and ``--state-dir`` read it,
+    so it is computed on first read (or taken from a cache entry) and
+    then kept.
+    """
+
+    __slots__ = ("name", "key", "program", "_program_digest", "from_cache")
+
+    def __init__(
+        self,
+        name: str,
+        key: str,
+        program: ConstraintProgram,
+        program_digest: Optional[str] = None,
+        from_cache: bool = False,
+    ) -> None:
+        self.name = name
+        self.key = key
+        self.program = program
+        self._program_digest = program_digest
+        self.from_cache = from_cache
+
+    @property
+    def program_digest(self) -> str:
+        digest = self._program_digest
+        if digest is None:
+            # Two readers racing here compute the same value.
+            digest = self._program_digest = self.program.digest()
+        return digest
 
 
 @dataclass
 class LinkArtifact:
     """The joint constraint program of a member set."""
 
-    key: str
+    #: the stage cache key; None when no cache is attached
+    key: Optional[str]
     linked: LinkedProgram
     from_cache: bool = False
 
@@ -314,9 +338,10 @@ class Pipeline:
                 if program.name != src.name:
                     # Entry written for an identical source under a
                     # different name: re-label (the program name feeds
-                    # linker diagnostics) and re-digest.
+                    # linker diagnostics); its digest is recomputed
+                    # when read.
                     program.name = src.name
-                    digest = program.digest()
+                    digest = None
                 return ConstraintsArtifact(
                     src.name, key, program, digest, from_cache=True
                 )
@@ -324,15 +349,18 @@ class Pipeline:
         module = self.lower(src)
         with self._timed("constraints"):
             program = build_constraints(module, self.summaries).program
-            digest = program.digest()
         self._bump("constraints", "runs")
+        artifact = ConstraintsArtifact(src.name, key, program)
         if self.cache is not None:
             self.cache.store_stage(
                 "constraints",
                 key,
-                {"program": program.to_dict(), "digest": digest},
+                {
+                    "program": program.to_dict(),
+                    "digest": artifact.program_digest,
+                },
             )
-        return ConstraintsArtifact(src.name, key, program, digest)
+        return artifact
 
     def constraints_from_text(
         self, src: SourceArtifact
@@ -358,29 +386,37 @@ class Pipeline:
 
         with self._timed("import"):
             program = parse_constraint_text(src.text, src.name)
-            digest = program.digest()
         self._bump("import", "runs")
+        artifact = ConstraintsArtifact(src.name, key, program)
         if self.cache is not None:
             self.cache.store_stage(
                 "import",
                 key,
-                {"program": program.to_dict(), "digest": digest},
+                {
+                    "program": program.to_dict(),
+                    "digest": artifact.program_digest,
+                },
             )
-        return ConstraintsArtifact(src.name, key, program, digest)
+        return artifact
 
     def link(
         self,
         members: Sequence[ConstraintsArtifact],
         options: Optional[LinkOptions] = None,
     ) -> LinkArtifact:
-        """Constraint programs → joint linked program (persistent stage)."""
+        """Constraint programs → joint linked program (persistent stage).
+
+        As in :meth:`solve`, the stage key, and with it every member's
+        program digest, is computed only when a cache is attached.
+        """
         options = options if options is not None else LinkOptions()
-        key = _key(
-            "link",
-            options.cache_key,
-            *[f"{m.name}:{m.program_digest}" for m in members],
-        )
+        key = None
         if self.cache is not None:
+            key = _key(
+                "link",
+                options.cache_key,
+                *[f"{m.name}:{m.program_digest}" for m in members],
+            )
             linked = self.cache.load_stage(
                 "link", key, LinkedProgram.from_dict
             )
@@ -395,7 +431,7 @@ class Pipeline:
                 registry=self.registry,
             )
         self._bump("link", "runs")
-        if self.cache is not None:
+        if key is not None:
             self.cache.store_stage("link", key, linked.to_dict())
         return LinkArtifact(key, linked)
 
@@ -404,6 +440,7 @@ class Pipeline:
         program: ConstraintProgram,
         config: Configuration,
         program_digest: Optional[str] = None,
+        carry: Optional[FixpointCarry] = None,
     ) -> SolveArtifact:
         """Constraint program → solution (persistent stage).
 
@@ -411,6 +448,12 @@ class Pipeline:
         entry and decoded only from a cache hit.  The stage key, and
         with it the program digest, is computed only when a cache is
         attached.
+
+        ``carry`` is the served project's fixpoint hand-over (see
+        :func:`~repro.analysis.config.solve_prepared`).  The cache
+        lookup still comes first, and a hit leaves ``carry`` untouched.
+        A warm-started solution is not stored: its stats count the warm
+        solve's own work, not the content-addressed solve's.
         """
         key = None
         if self.cache is not None:
@@ -430,14 +473,16 @@ class Pipeline:
                 return SolveArtifact(config.name, solution, from_cache=True)
             self._bump("solve", "misses")
         with self._timed("solve"):
-            solution = solve_prepared(prepare_program(program, config), config)
+            solution = solve_prepared(
+                prepare_program(program, config), config, carry
+            )
         self._bump("solve", "runs")
         if solution.program is not program:
             # EP solves an Ω-lowered copy: answer against the caller's
             # program, as a decoded cache entry does.
             solution = solution.rebase(program)
         record_solver_stats(self.registry, solution.stats.to_dict())
-        if key is not None:
+        if key is not None and not (carry is not None and carry.warm):
             self.cache.store_stage(
                 "solve", key, {"solution": solution.to_canonical_dict()}
             )

@@ -14,12 +14,14 @@ diff-based: :meth:`Project.update` replaces whole members, and the
 member table guarantee that re-parsing/lowering/constraint-building
 happens for exactly the edited members — the others replay their
 existing :class:`~repro.pipeline.ConstraintsArtifact` (or their
-``stages/`` disk-cache entry in a fresh process).  Linking and solving
-always re-run on the joint program (both are cached by content too, so
-with a disk cache an update that round-trips back to known text is
-nearly free).  Each commit prunes those in-memory memos to the
-committed members, so they hold one entry per member however many
-edits a session serves.
+``stages/`` disk-cache entry in a fresh process).  Linking re-runs on
+the joint program.  Solving is cached by content too, and otherwise
+starts from the previous generation's fixpoint whenever the new joint
+program contains the previous one (:func:`repro.link.contain`): an edit
+that only adds constraints costs what it adds.  Every other solve is
+cold, and :meth:`Project.solve_counts` says which path each took.  Each
+commit prunes those in-memory memos to the committed members, so they
+hold one entry per member however many edits a session serves.
 
 Rebuilds are transactional: a frontend or link error during
 ``open``/``update`` leaves the project serving its previous generation
@@ -32,13 +34,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.config import Configuration
+from ..analysis.config import Configuration, supports_warm_start
 from ..analysis.frontend import ModuleConstraints, SummaryFn, build_constraints
 from ..analysis.solution import Solution
+from ..analysis.solvers.base import Fixpoint, FixpointCarry, WarmStart
 from ..analysis.api import DEFAULT_CONFIGURATION
 from ..driver.cache import ResultCache
 from ..frontend import FRONTEND_ERRORS
-from ..link import LinkedProgram, LinkOptions
+from ..link import LinkedProgram, LinkOptions, contain
 from ..obs import NULL_REGISTRY, Registry
 from ..pipeline import ConstraintsArtifact, Pipeline, SourceArtifact
 
@@ -117,6 +120,9 @@ class Snapshot:
     solution: Solution
     _pipeline: Pipeline
     _summaries: Optional[Dict[str, SummaryFn]] = None
+    #: the solve's fixpoint beyond the solution, for the next update's
+    #: warm start; never cached or persisted
+    _fixpoint: Optional[Fixpoint] = None
     _bindings: Dict[str, MemberBinding] = field(default_factory=dict)
     _vars_by_name: Optional[Dict[str, List[int]]] = None
     #: guards the lazy binding/name-index memos — concurrent read-only
@@ -241,6 +247,10 @@ class Project:
         #: readers keep answering against the immutable snapshot G (the
         #: commit is a single attribute assignment, atomic under the GIL)
         self._write_lock = threading.RLock()
+        #: solves per path, and why the last cold one was cold; its own
+        #: lock, so ``status`` never waits for a rebuild
+        self._solves: Dict = {"warm": 0, "cold": 0, "last_cold_reason": None}
+        self._solves_lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
@@ -270,7 +280,7 @@ class Project:
                 name: SourceArtifact.of(name, text)
                 for name, text in files.items()
             }
-            snapshot = self._rebuild(sources)
+            snapshot = self._rebuild(sources, opening=True)
             self._sources = sources
             self._retain_committed()
             return snapshot
@@ -299,7 +309,7 @@ class Project:
                 sources[name] = SourceArtifact.of(name, text)
             if not sources:
                 raise ValueError("update would leave the project empty")
-            snapshot = self._rebuild(sources)
+            snapshot = self._rebuild(sources, opening=False)
             self._sources = sources
             self._retain_committed()
             return snapshot
@@ -367,11 +377,69 @@ class Project:
             self._member_memo[key] = member
         return member
 
-    def _rebuild(self, sources: Mapping[str, SourceArtifact]) -> Snapshot:
+    def _carry(
+        self,
+        opening: bool,
+        members: List[ConstraintsArtifact],
+        linked: LinkedProgram,
+    ) -> Tuple[Optional[FixpointCarry], str]:
+        """The fixpoint hand-over for this generation's solve, and the
+        reason the solve is cold if it does not start warm."""
+        if not supports_warm_start(self.config):
+            return None, "configuration"
+        carry = FixpointCarry()
+        previous = self._snapshot
+        if opening or previous is None:
+            return carry, "open"
+        if previous._fixpoint is None:
+            return carry, "no previous fixpoint"
+        contained = contain(
+            previous.linked,
+            {m.name: m.program for m in previous.members},
+            linked,
+            {m.name: m.program for m in members},
+        )
+        if contained.var_map is None:
+            return carry, contained.miss
+        carry.start = WarmStart(
+            previous.solution,
+            previous._fixpoint,
+            contained.var_map,
+            contained.queue,
+        )
+        # Only if the solver finds the previous offline groups split.
+        return carry, "not contained"
+
+    def _count_solve(
+        self, carry: Optional[FixpointCarry], reason: str
+    ) -> None:
+        path = "warm" if carry is not None and carry.warm else "cold"
+        with self._solves_lock:
+            self._solves[path] += 1
+            if path == "cold":
+                self._solves["last_cold_reason"] = reason
+        self.registry.add(f"serve.solve.{path}")
+
+    def solve_counts(self) -> Dict:
+        """``{"warm": w, "cold": c, "last_cold_reason": r}``: how many
+        solves started from the previous fixpoint, how many did not, and
+        why the last cold one was cold (``open``, ``no previous
+        fixpoint``, ``configuration``, ``member removed``, ``variable
+        map`` or ``not contained``).  A stage-cache hit is no solve."""
+        with self._solves_lock:
+            return dict(self._solves)
+
+    def _rebuild(
+        self, sources: Mapping[str, SourceArtifact], opening: bool
+    ) -> Snapshot:
         members = [self._member(src) for src in sources.values()]
         link_art = self.pipeline.link(members, self.options)
         linked = link_art.linked
-        solution = self.pipeline.solve(linked.program, self.config).solution
+        carry, reason = self._carry(opening, members, linked)
+        solved = self.pipeline.solve(linked.program, self.config, carry=carry)
+        if not solved.from_cache:
+            self._count_solve(carry, reason)
+        solution = solved.solution
         self.generation += 1
         self.registry.add("serve.generations")
         self._snapshot = Snapshot(
@@ -384,6 +452,7 @@ class Project:
             solution=solution,
             _pipeline=self.pipeline,
             _summaries=self._summaries,
+            _fixpoint=carry.fixpoint if carry is not None else None,
         )
         return self._snapshot
 

@@ -542,6 +542,7 @@ class AnalysisServer:
                 **self.state_counts,
             },
             "gc": _collector_status(),
+            "solves": state.project.solve_counts(),
         }
         if state.project.is_open:
             status["project"] = state.project.snapshot.summary()

@@ -98,6 +98,22 @@ class TestStringsAndChars:
     def test_octal_escape(self):
         assert tokenize(r'"\101"')[0].value == "A"
 
+    # \0 is the octal escape, not a one-character one: it takes up to
+    # two more octal digits, and a non-octal digit ends it.
+    @pytest.mark.parametrize(
+        "source, value",
+        [
+            (r'"\012"', "\n"),
+            (r'"\0"', "\0"),
+            (r'"\08"', "\x008"),
+            (r'"\1234"', "S4"),
+            (r"'\012'", 10),
+            (r"'\0'", 0),
+        ],
+    )
+    def test_octal_escapes_starting_with_zero(self, source, value):
+        assert tokenize(source)[0].value == value
+
     def test_adjacent_concatenation(self):
         assert tokenize('"foo" "bar"')[0].value == "foobar"
 

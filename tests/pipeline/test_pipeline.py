@@ -221,3 +221,63 @@ class TestSerialization:
         assert all("seconds" not in stats for stats in canonical.values())
         text = json.dumps(canonical, sort_keys=True)
         assert json.loads(text) == canonical
+
+
+class TestDigestsOnlyWhenRead:
+    """A member's program digest is read only by cache keys, the served
+    binding check and ``--state-dir``; without those nothing hashes."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        from repro.analysis.constraints import ConstraintProgram
+
+        calls = []
+        digest = ConstraintProgram.digest
+
+        def counted(program):
+            calls.append(program.name)
+            return digest(program)
+
+        monkeypatch.setattr(ConstraintProgram, "digest", counted)
+        return calls
+
+    def test_repro_link_without_a_cache_hashes_no_program(
+        self, digests, tmp_path
+    ):
+        from repro.__main__ import main
+
+        paths = []
+        for name, text in (("a.c", SRC_A), ("b.c", SRC_B)):
+            path = tmp_path / name
+            path.write_text(text)
+            paths.append(str(path))
+        out = tmp_path / "report.json"
+        assert main(["link", *paths, "--out", str(out)]) == 0
+        assert out.exists() and digests == []
+
+    def test_project_open_without_a_cache_hashes_no_program(self, digests):
+        from repro.serve import Project
+
+        project = Project()
+        project.open({"a.c": SRC_A, "b.c": SRC_B})
+        project.update({"a.c": SRC_A + "int *more;\n"})
+        assert digests == []
+
+    def test_a_cached_link_keys_on_every_member_digest(self, digests, cache):
+        pipeline = Pipeline(cache=cache)
+        pipeline.link_sources(
+            [pipeline.source("a.c", SRC_A), pipeline.source("b.c", SRC_B)]
+        )
+        assert sorted(digests) == ["a.c", "b.c"]
+
+    def test_state_dir_persists_every_member_digest(self, tmp_path):
+        from repro.serve import Project
+        from repro.serve.state import save_project
+
+        project = Project()
+        project.open({"a.c": SRC_A, "b.c": SRC_B})
+        path = save_project(tmp_path, "p1", project)
+        members = json.loads(path.read_text())["members"]
+        assert [m["program_digest"] for m in members] == [
+            m.program.digest() for m in project.snapshot.members
+        ]

@@ -107,6 +107,10 @@ class TestServeEquivalence:
             )
         # The edit actually changed the answers.
         assert strip_ids(gen1) != strip_ids(gen2)
+        # The edit only added constraints, so the update started from
+        # generation 1's fixpoint and visited 6 nodes.
+        assert project.solve_counts()["warm"] == 1
+        assert project.snapshot.solution.stats.visits == 6
 
     def test_solution_matches_pipeline_directly(self):
         # Against the staged pipeline itself, not another server.
