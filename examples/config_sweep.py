@@ -41,7 +41,6 @@ SWEEP = [
     "IP+WL(FIFO)+LCD+DP",
     "IP+WL(FIFO)+PIP",
     "IP+OVS+WL(FIFO)+PIP",
-    "IP+Wave",  # extension: Pereira & Berlin's wave propagation
 ]
 
 

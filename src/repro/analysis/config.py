@@ -62,8 +62,7 @@ from .solvers.ovs import compute_ovs_groups
 from .solvers.worklist import WorklistSolver
 
 REPRESENTATIONS = ("EP", "IP")
-#: "Wave" (Pereira & Berlin) is an extension beyond the paper's Table IV
-SOLVERS = ("Naive", "WL", "Wave")
+SOLVERS = ("Naive", "WL")
 ORDERS = tuple(WORKLIST_ORDERS.keys())
 
 
@@ -116,8 +115,6 @@ class Configuration:
                 raise ConfigurationError(
                     "online techniques require the WL solver"
                 )
-            # (Wave performs its own cycle collapsing and difference
-            # propagation intrinsically.)
         if self.pip and self.representation != "IP":
             raise ConfigurationError("PIP requires implicit pointees (IP)")
         if self.ocd and (self.hcd or self.lcd):
@@ -172,56 +169,45 @@ class Configuration:
 
 
 def parse_name(name: str) -> Configuration:
-    """Parse a canonical configuration name like ``IP+WL(FIFO)+PIP``."""
-    kwargs: Dict = {
-        "representation": None,
-        "ovs": False,
-        "solver": None,
-        "order": None,
-        "pip": False,
-        "ocd": False,
-        "hcd": False,
-        "lcd": False,
-        "dp": False,
-        "pts": DEFAULT_PTS_BACKEND,
-        "reduce": False,
-    }
+    """Parse a canonical configuration name like ``IP+WL(FIFO)+PIP``.
+
+    Each part sets one axis (the representation, the solver with its
+    order, the points-to-set backend) or one flag.  A part that sets an
+    axis or flag an earlier part already set is an error, never an
+    override: ``IP+EP+WL(FIFO)`` names no configuration.
+    """
+    kwargs: Dict = {"order": None}
+    first: Dict[str, str] = {}
     for part in name.replace(" ", "").split("+"):
         if part in REPRESENTATIONS:
-            kwargs["representation"] = part
-        elif part == "OVS":
-            kwargs["ovs"] = True
-        elif part == "Reduce":
-            kwargs["reduce"] = True
+            axis, values = "representation", {"representation": part}
+        elif part in ("OVS", "Reduce", "PIP", "OCD", "HCD", "LCD", "DP"):
+            axis, values = f"{part} flag", {part.lower(): True}
         elif part == "Naive":
-            kwargs["solver"] = "Naive"
-        elif part == "Wave":
-            kwargs["solver"] = "Wave"
+            axis, values = "solver", {"solver": "Naive"}
         elif part.startswith("WL(") and part.endswith(")"):
-            kwargs["solver"] = "WL"
-            kwargs["order"] = part[3:-1]
+            axis, values = "solver", {"solver": "WL", "order": part[3:-1]}
         elif part.startswith("PTS(") and part.endswith(")"):
-            kwargs["pts"] = part[4:-1]
-        elif part in ("PIP", "OCD", "HCD", "LCD", "DP"):
-            kwargs[part.lower()] = True
+            axis, values = "points-to-set backend", {"pts": part[4:-1]}
         else:
             raise ConfigurationError(f"cannot parse configuration part {part!r}")
-    if kwargs["representation"] is None or kwargs["solver"] is None:
+        if axis in first:
+            raise ConfigurationError(
+                f"configuration name {name!r} sets the {axis} twice"
+                f" ({first[axis]!r}, then {part!r})"
+            )
+        first[axis] = part
+        kwargs.update(values)
+    if "representation" not in first or "solver" not in first:
         raise ConfigurationError(f"incomplete configuration name {name!r}")
     return Configuration(**kwargs)
 
 
-def enumerate_configurations(include_extensions: bool = False) -> List[Configuration]:
-    """All valid configurations of the paper's Table IV space.
-
-    With ``include_extensions`` the Wave-propagation solver (not part of
-    the paper's evaluation) is included as well.
-    """
+def enumerate_configurations() -> List[Configuration]:
+    """All valid configurations of the paper's Table IV space."""
     configs: List[Configuration] = []
     for rep, ovs in product(REPRESENTATIONS, (False, True)):
         configs.append(Configuration(rep, ovs, "Naive", None))
-        if include_extensions:
-            configs.append(Configuration(rep, ovs, "Wave", None))
     cycle_choices: Tuple[Tuple[bool, bool, bool], ...] = (
         (False, False, False),  # none
         (True, False, False),  # OCD
@@ -339,10 +325,6 @@ def _solve(
         unions = None
     if config.solver == "Naive":
         solver = NaiveSolver(prepared, presolve_unions=unions, pts=config.pts)
-    elif config.solver == "Wave":
-        from .solvers.wave import WaveSolver
-
-        solver = WaveSolver(prepared, presolve_unions=unions, pts=config.pts)
     else:
         solver = WorklistSolver(
             prepared,

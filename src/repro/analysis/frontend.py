@@ -55,10 +55,6 @@ class ModuleConstraints:
     #: heap allocation site (the Call instruction) → memory var
     heap_site_of: Dict[Value, int] = field(default_factory=dict)
 
-    def pointer_var(self, value: Value) -> Optional[int]:
-        """The constraint variable holding ``value``, if tracked."""
-        return self.var_of_value.get(value)
-
 
 # ----------------------------------------------------------------------
 # Summary functions for well-known external functions

@@ -1,7 +1,6 @@
 """Solver implementations: naive, worklist, orders, cycles, OVS."""
 
 from .naive import NaiveSolver
-from .wave import WaveSolver
 from .worklist import WorklistSolver
 
-__all__ = ["NaiveSolver", "WaveSolver", "WorklistSolver"]
+__all__ = ["NaiveSolver", "WorklistSolver"]

@@ -271,9 +271,6 @@ class SolverState:
         find = self.uf.find
         return {find(t) for t in targets}
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        return dst in self.canonical_succ(src)
-
     def add_edge(self, src: int, dst: int) -> bool:
         """Insert a simple edge between representatives; True if new."""
         if src == dst or dst in self.canonical_succ(src):

@@ -57,10 +57,6 @@ class NaiveSolver:
                     self.sol[other] = self.sol[rep]
                     self.succ[other] = self.succ[rep]
 
-    def _find(self, v: int) -> int:
-        # One level only: presolve groups are flat.
-        return self._rep[v]
-
     # ------------------------------------------------------------------
 
     def solve(self) -> Solution:

@@ -155,9 +155,6 @@ class WorklistSolver:
     # Flag marking helpers (IP mode)
     # ------------------------------------------------------------------
 
-    def _push(self, v: int) -> None:
-        self.worklist.push(self.state.find(v))
-
     def mark_pte(self, r: int) -> None:
         """Mark r ⊒ Ω on a representative."""
         st = self.state

@@ -155,19 +155,6 @@ def returns_unknown() -> Effect:
     return apply
 
 
-def stores_unknown(position: int) -> Effect:
-    """Unknown pointers are written through the argument (``scanf``-ish
-    out-parameters of pointer type)."""
-
-    def apply(ctx: _SummaryContext) -> None:
-        v = ctx.var(position)
-        if v is not None:
-            ctx.builder.program.mark_store_scalar(v)
-            ctx.builder.program.mark_pointees_escape(v)
-
-    return apply
-
-
 def summary(*effects: Effect) -> SummaryFn:
     """Compose effects into a summary usable by the constraint builder."""
 

@@ -96,15 +96,6 @@ class AuditContext:
         )
 
     @classmethod
-    def from_result(cls, result) -> "AuditContext":
-        """Over a single-module :class:`~repro.analysis.api.PointsToResult`."""
-        return cls(
-            result.built.program,
-            result.solution,
-            members={result.built.module.name: result},
-        )
-
-    @classmethod
     def from_solution(
         cls, program: ConstraintProgram, solution: Solution
     ) -> "AuditContext":
@@ -113,15 +104,10 @@ class AuditContext:
 
 
 def solution_index(binding, loc: int) -> int:
-    """Map a member-local constraint variable into solution index space.
-
-    A :class:`~repro.serve.project.MemberBinding` carries the linker's
-    local→joint ``mapping``; a single-module
-    :class:`~repro.analysis.api.PointsToResult` does not — its solution
-    already speaks local indexes.
-    """
-    mapping = getattr(binding, "mapping", None)
-    return loc if mapping is None else mapping[loc]
+    """Map a member-local constraint variable into solution index space
+    through the :class:`~repro.serve.project.MemberBinding`'s
+    local→joint ``mapping``."""
+    return binding.mapping[loc]
 
 
 def make_oracle(binding, oracle: str):

@@ -184,7 +184,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
     import pathlib
 
-    from ..analysis.config import parse_name
+    from ..__main__ import _configuration
 
     parser = argparse.ArgumentParser(
         description="k-of-N TU prefix ladder (incremental completeness)"
@@ -193,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--unit-size", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--static-fraction", type=float, default=0.4)
-    parser.add_argument("--config", default=DEFAULT_CONFIG_NAME)
+    parser.add_argument("--config", type=_configuration, default=DEFAULT_CONFIG_NAME)
     parser.add_argument(
         "--cache",
         action="store_true",
@@ -215,9 +215,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         unit_size=args.unit_size,
         static_fraction=args.static_fraction,
     )
-    config = parse_name(args.config)
     cache = ResultCache(args.cache_dir) if args.cache else None
-    report = run_ladder(spec, config, cache=cache)
+    report = run_ladder(spec, args.config, cache=cache)
 
     print(f"program {report['program']}, configuration {report['config']}")
     print(format_table(report))

@@ -37,12 +37,6 @@ class ModRef:
     mod: FrozenSet
     ref: FrozenSet
 
-    def may_write(self, pointees: FrozenSet) -> bool:
-        return bool(self.mod & pointees)
-
-    def may_read(self, pointees: FrozenSet) -> bool:
-        return bool(self.ref & pointees)
-
 
 def _local_effects(
     fn: Function, result: PointsToResult

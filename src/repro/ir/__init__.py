@@ -30,7 +30,6 @@ from .instructions import (
     Unreachable,
 )
 from .module import BasicBlock, Function, Module
-from .parser import IRParseError, parse_module
 from .printer import (
     collect_struct_types,
     print_function,
@@ -90,8 +89,6 @@ __all__ = [
     "print_module",
     "print_function",
     "print_instruction",
-    "parse_module",
-    "IRParseError",
     "collect_struct_types",
     "verify_module",
     "verify_modules",

@@ -30,7 +30,6 @@ from .instructions import (
 from .module import BasicBlock, Function, Module
 from .values import (
     Constant,
-    FloatConstant,
     IntConstant,
     NullConstant,
     UndefConstant,
@@ -68,8 +67,8 @@ class IRBuilder:
         return f"{hint}{self._name_counter}"
 
     def _unique_name(self, name: str) -> str:
-        """Register names must be unique per function so the textual IR
-        round-trips; suffix colliding names."""
+        """Register names must be unique per function so each printed
+        name denotes one value; suffix colliding names."""
         used = self._used_names
         if name not in used:
             used.add(name)
@@ -96,9 +95,6 @@ class IRBuilder:
 
     def const_int(self, value: int, type_: ty.IntType = ty.I32) -> IntConstant:
         return IntConstant(type_, value)
-
-    def const_float(self, value: float, type_: ty.FloatType = ty.F64) -> FloatConstant:
-        return FloatConstant(type_, value)
 
     def null(self, type_: ty.PointerType) -> NullConstant:
         return NullConstant(type_)

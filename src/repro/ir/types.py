@@ -202,17 +202,6 @@ class FunctionType(Type):
         return f"{self.return_type}({ps})"
 
 
-@dataclass(frozen=True)
-class LabelType(Type):
-    """The type of basic-block labels (only used by branch operands)."""
-
-    def sizeof(self) -> int:
-        raise TypeError("labels have no size")
-
-    def __str__(self) -> str:
-        return "label"
-
-
 # Canonical singletons used throughout the frontend and tests.
 VOID = VoidType()
 BOOL = IntType(1, signed=False)
@@ -226,7 +215,6 @@ I64 = IntType(64)
 U64 = IntType(64, signed=False)
 F32 = FloatType(32)
 F64 = FloatType(64)
-LABEL = LabelType()
 
 
 def ptr(pointee: Type) -> PointerType:
@@ -234,20 +222,8 @@ def ptr(pointee: Type) -> PointerType:
     return PointerType(pointee)
 
 
-def is_integer(ty: Type) -> bool:
-    return isinstance(ty, IntType)
-
-
 def is_float(ty: Type) -> bool:
     return isinstance(ty, FloatType)
-
-
-def is_scalar(ty: Type) -> bool:
-    return isinstance(ty, (IntType, FloatType, PointerType))
-
-
-def is_aggregate(ty: Type) -> bool:
-    return isinstance(ty, (ArrayType, StructType))
 
 
 def pointer_compatible(ty: Type) -> bool:

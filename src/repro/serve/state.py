@@ -43,7 +43,7 @@ from ..link import LinkedProgram, LinkOptions
 from ..obs import Registry
 from ..pipeline import ConstraintsArtifact, SourceArtifact
 from ..pipeline.stages import _key as stage_key
-from .project import Project, Snapshot
+from .project import Project
 from .protocol import valid_project_id
 
 __all__ = [
@@ -254,12 +254,3 @@ def load_project(
         ) from None
     project.restore(sources, members, linked, solution, generation)
     return project_id, project
-
-
-def restored_summary(snapshot: Snapshot) -> Dict:
-    """Small summary block for logs/status after a warm start."""
-    return {
-        "generation": snapshot.generation,
-        "members": snapshot.member_names(),
-        "config": snapshot.config.name,
-    }

@@ -31,7 +31,6 @@ CORPUS = sorted(Path(__file__).parents[2].glob("examples/corpus/*.c"))
 #: order; ``{pip}`` is ``+PIP`` under IP and empty under EP
 SOLVER_GRAPHS = [
     "{rep}+Naive",
-    "{rep}+Wave",
     "{rep}+WL(FIFO){pip}",
     "{rep}+WL(LRF)+OCD{pip}",
     "{rep}+WL(TOPO)+HCD{pip}",

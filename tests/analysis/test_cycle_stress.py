@@ -1,5 +1,5 @@
 """Cycle-heavy stress programs: rings of copy edges exercise every cycle
-detector's unification paths (incl. the wave solver's old-set merge)."""
+detector's unification paths."""
 
 import random
 
@@ -8,8 +8,6 @@ import pytest
 from repro.analysis import ConstraintProgram, parse_name, run_configuration
 
 CONFIGS = [
-    "IP+Wave",
-    "EP+Wave",
     "IP+WL(FIFO)+OCD",
     "IP+WL(LRF)+PIP",
     "IP+WL(FIFO)+HCD+LCD",

@@ -41,12 +41,11 @@ def _solve_both(program, config):
 
 @pytest.mark.parametrize("filename", FILES)
 def test_backends_identical_across_full_configuration_space(filename, programs):
-    """All solver × order × cycle-detector × PIP/DP configurations (plus
-    the Wave extension) agree between backends, and the whole sweep
-    agrees with itself."""
+    """All solver × order × cycle-detector × PIP/DP configurations agree
+    between backends, and the whole sweep agrees with itself."""
     program = programs[filename]
     reference = None
-    for config in enumerate_configurations(include_extensions=True):
+    for config in enumerate_configurations():
         sol_set, sol_bit = _solve_both(program, config)
         assert sol_bit == sol_set, (
             f"{config.name}: backends disagree on {filename}:\n"

@@ -287,9 +287,7 @@ class TestConfigurationAxis:
         assert on.cache_key.endswith(";reduce=1")
 
     def test_reduce_not_in_enumeration(self):
-        assert not any(
-            c.reduce for c in enumerate_configurations(include_extensions=True)
-        )
+        assert not any(c.reduce for c in enumerate_configurations())
 
     def test_default_is_off(self):
         assert parse_name("IP+WL(FIFO)").reduce is False

@@ -27,7 +27,6 @@ from repro.pipeline import Pipeline
 REPRESENTATIVE = [
     "IP+Naive",
     "EP+Naive",
-    "IP+Wave",
     "IP+WL(FIFO)",
     "IP+WL(LRF)",
     "IP+WL(TOPO)",
@@ -56,7 +55,7 @@ def with_reduce(config, pts="set"):
 def test_full_configuration_matrix(seed):
     """Every configuration × {set, bitset}: reduce on ≡ reduce off."""
     program = random_program(seed, n_vars=30, n_constraints=60)
-    for config in enumerate_configurations(include_extensions=True):
+    for config in enumerate_configurations():
         oracle = named_json(run_configuration(program, config))
         for pts in ("set", "bitset"):
             got = named_json(

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis import parse_name
 from repro.bench.corpus import ProgramSpec, generate_c_source, plan_program
 from repro.bench.ladder import (
@@ -9,6 +11,7 @@ from repro.bench.ladder import (
     check_monotone,
     format_table,
     ladder_over_members,
+    main,
     run_ladder,
 )
 from repro.driver import ResultCache
@@ -77,3 +80,11 @@ class TestLadder:
         members = [pipeline.constraints(src) for src in sources]
         rungs = ladder_over_members(pipeline, members[:2], CONFIG)
         assert len(rungs) == 2
+
+    def test_bad_config_name_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "IP+Naive+WL(LRF)"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "sets the solver twice ('Naive', then 'WL(LRF)')" in err

@@ -15,7 +15,6 @@ from repro.analysis import (
 )
 from repro.clients import EXTERNAL, build_call_graph, compute_mod_ref
 from repro.frontend import compile_c
-from repro.ir import parse_module, print_module
 
 CORPUS = sorted(
     (pathlib.Path(__file__).parent / ".." / ".." / "examples" / "corpus")
@@ -37,10 +36,6 @@ def test_corpus_exists():
 class TestRealCorpus:
     def test_compiles_and_verifies(self, corpus_module):
         assert corpus_module.instruction_count() > 50
-
-    def test_roundtrips_through_text(self, corpus_module):
-        text = print_module(corpus_module)
-        assert print_module(parse_module(text)) == text
 
     def test_configurations_agree(self, corpus_module):
         built = build_constraints(corpus_module)

@@ -107,6 +107,7 @@ class TestSolveConstraints:
             ({"text": LIR, "config": "NOPE"}, "invalid_params"),
             ({"text": LIR, "config": 3}, "invalid_params"),
             ({"text": LIR, "wat": 1}, "invalid_params"),
+            ({"text": LIR, "config": "IP+WL(FIFO)+PIP+PIP"}, "invalid_params"),
         ],
     )
     def test_bad_params_are_structured(self, server, params, code):

@@ -169,6 +169,19 @@ class TestValidation:
         with pytest.raises(StateError, match="configuration"):
             load_project(path, config=parse_name("EP+WL(FIFO)"))
 
+    def test_repeated_axis_config_rejected(self, tmp_path):
+        from repro.serve.state import _payload_digest
+
+        path = save_project(tmp_path, "p1", built_project())
+
+        def mutate(payload):
+            payload["config"] += "+PIP"
+            payload["digest"] = _payload_digest(payload)
+
+        rewrite(path, mutate)
+        with pytest.raises(StateError, match="sets the PIP flag twice"):
+            load_project(path)
+
     def test_options_mismatch_rejected(self, tmp_path):
         path = save_project(tmp_path, "p1", built_project())
         with pytest.raises(StateError, match="link options"):

@@ -252,10 +252,14 @@ class TestConfigurationNames:
              "cannot parse configuration part 'NOPE'"),
             (["run", "--configs", "NOPE"],
              "cannot parse configuration part 'NOPE'"),
+            (["analyze", "{c}", "--config", "IP+EP+WL(FIFO)"],
+             "sets the representation twice ('IP', then 'EP')"),
+            (["sweep", "{c}", "IP+Wave"],
+             "cannot parse configuration part 'Wave'"),
         ],
         ids=[
             "analyze", "link", "sweep", "audit", "constraints-solve",
-            "query", "serve", "run",
+            "query", "serve", "run", "repeated-axis", "wave",
         ],
     )
     def test_bad_name_is_a_usage_error(self, argv, message, cfile, capsys):
