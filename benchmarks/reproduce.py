@@ -54,13 +54,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repetitions", type=int, default=3)
     parser.add_argument(
-        "--pts-backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation for every configuration"
-        " (default: each configuration's own, i.e. set)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the solver-runtime experiment",
     )
@@ -103,7 +96,6 @@ def main(argv=None) -> int:
         files,
         TABLE5_CONFIGS + EP_ORACLE_CONFIGS,
         repetitions=args.repetitions,
-        pts_backend=args.pts_backend,
         jobs=args.jobs,
         cache=ResultCache(args.cache_dir) if args.cache else None,
     )

@@ -34,8 +34,8 @@ Commands
     program, several export the linked joint program.
 ``constraints solve FILE...``
     Solve constraint-text files directly — the second front door that
-    bypasses the C frontend.  ``--config``, ``--backend``, ``--reduce``
-    and ``--jobs`` pass through to the existing solver stack.
+    bypasses the C frontend.  ``--config`` and ``--jobs`` pass through
+    to the existing solver stack.
 ``audit CLIENT FILE...``
     Run one scenario audit client (``escape``, ``races``, ``dangling``,
     ``calls``) over the linked+solved program; C and ``.lir`` members
@@ -60,7 +60,8 @@ one-line ``file:line: message`` diagnostic instead of a traceback.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
+import os
 import pathlib
 import sys
 from typing import List, Optional
@@ -140,25 +141,6 @@ def _add_config_option(parser) -> None:
     )
 
 
-def _add_backend_option(parser, *aliases: str) -> None:
-    parser.add_argument(
-        "--pts-backend", *aliases,
-        dest="pts_backend",
-        choices=("set", "bitset"),
-        default=None,
-        help="points-to-set representation (default: the configuration's,"
-        " i.e. set)" + "".join(f"; {a} is an alias" for a in aliases),
-    )
-
-
-def _add_reduce_option(parser) -> None:
-    parser.add_argument(
-        "--reduce",
-        action="store_true",
-        help="apply the offline constraint reduction before solving",
-    )
-
-
 def _add_link_options(parser) -> None:
     parser.add_argument(
         "--internalize",
@@ -171,17 +153,6 @@ def _add_link_options(parser) -> None:
         help="comma-separated symbols kept external under --internalize"
         " (default: main)",
     )
-
-
-def _solver_config(args, *, backend: bool = True) -> Configuration:
-    """``--config`` with ``--reduce`` and, if ``backend``,
-    ``--pts-backend`` applied."""
-    config = args.config
-    if backend and args.pts_backend:
-        config = dataclasses.replace(config, pts=args.pts_backend)
-    if args.reduce:
-        config = dataclasses.replace(config, reduce=True)
-    return config
 
 
 def _link_options(args):
@@ -284,7 +255,7 @@ def cmd_compile(args) -> int:
 
 def cmd_analyze(args) -> int:
     module = _load_module(args.file, args.include)
-    config = _solver_config(args)
+    config = args.config
     result = analyze_module(module, config)
     program = result.built.program
     solution = result.solution
@@ -334,7 +305,6 @@ def cmd_sweep(args) -> int:
             source_hash=digest,
             config_name=name,
             source=source,
-            pts_backend=args.pts_backend,
             repetitions=1,
         )
         for i, name in enumerate(names)
@@ -494,7 +464,7 @@ def cmd_audit(args) -> int:
     from .link import LinkError
     from .pipeline import Pipeline
 
-    config = _solver_config(args)
+    config = args.config
     options = _link_options(args)
     cache = _result_cache(args)
     if args.client not in audit_names():
@@ -611,8 +581,7 @@ def cmd_constraints_solve(args) -> int:
     from .driver import FileContext, SolveTask, solve_tasks, source_digest
     from .interchange import parse_constraint_text
 
-    # The backend travels with each task, not in the configuration name.
-    config = _solver_config(args, backend=False)
+    config = args.config
     tasks = []
     contexts = {}
     programs = {}
@@ -635,7 +604,6 @@ def cmd_constraints_solve(args) -> int:
                 source_hash=digest,
                 config_name=config.name,
                 source=text,
-                pts_backend=args.pts_backend,
                 repetitions=1,
                 source_kind="lir",
             )
@@ -815,12 +783,6 @@ def cmd_query(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_run(args) -> int:
-    from .bench.runner import main as runner_main
-
-    return runner_main(list(args.args))
-
-
 def cmd_configs(args) -> int:
     configs = enumerate_configurations()
     for config in configs:
@@ -829,16 +791,7 @@ def cmd_configs(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # ``run`` forwards verbatim to repro.bench.runner's own parser.
-    # Forward before parsing: argparse.REMAINDER cannot capture leading
-    # options (``repro run --jobs 2`` would be rejected here otherwise).
-    if argv[:1] == ["run"]:
-        from .bench.runner import main as runner_main
-
-        return runner_main(argv[1:])
-
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -875,15 +828,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("file")
     p.add_argument("--include", default=None)
     _add_config_option(p)
-    _add_backend_option(p)
-    _add_reduce_option(p)
     p.add_argument("--dump-constraints", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="compare solver configurations")
     p.add_argument("file")
     p.add_argument("--include", default=None)
-    _add_backend_option(p)
     p.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="solve configurations on N worker processes",
@@ -933,8 +883,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="C translation units and/or .lir constraint-text files",
     )
     _add_config_option(p)
-    _add_backend_option(p)
-    _add_reduce_option(p)
     p.add_argument(
         "--oracle",
         choices=("andersen", "basicaa", "combined"),
@@ -1007,8 +955,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     ps.add_argument("files", nargs="+", metavar="FILE")
     _add_config_option(ps)
-    _add_backend_option(ps, "--backend")
-    _add_reduce_option(ps)
     ps.add_argument(
         "--jobs", type=_positive_int, default=1,
         help="solve files on N worker processes",
@@ -1093,22 +1039,42 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_serve_options(p)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser(
+    # ``main`` forwards ``run`` before parsing; this entry lists it in
+    # ``repro --help``.
+    sub.add_parser(
         "run",
         help="corpus experiment runner (repro.bench.runner pass-through)",
     )
-    p.add_argument(
-        "args", nargs=argparse.REMAINDER,
-        help="arguments for repro.bench.runner (see its --help)",
-    )
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("configs", help="list all valid configurations")
     p.set_defaults(func=cmd_configs)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # ``run`` forwards verbatim to repro.bench.runner's own parser.
+    # Forward before parsing: argparse.REMAINDER cannot capture leading
+    # options (``repro run --jobs 2`` would be rejected here otherwise).
+    if argv[:1] == ["run"]:
+        from .bench.runner import main as runner_main
+
+        command = functools.partial(runner_main, argv[1:], prog="repro run")
+    else:
+        args = _parser().parse_args(argv)
+        command = functools.partial(args.func, args)
     try:
-        return args.func(args)
+        status = command()
+        # Flush here rather than at exit, so a closed stdout raises
+        # where the handler below sees it.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``repro … | head``): nothing to report.
+        # Python flushes stdout again at exit, so point it at devnull
+        # first (the SIGPIPE note in the ``signal`` module's docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FRONTEND_ERRORS as exc:
         print(f"repro: error: {describe_error(exc)}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Sequence
 
 from ..ir.module import Module
 from ..ir.values import Value
@@ -26,32 +26,47 @@ DEFAULT_CONFIGURATION = Configuration(
 
 
 class PointsToResult:
-    """Solved points-to information tied back to IR values."""
+    """Solved points-to information tied back to IR values.
 
-    def __init__(self, built: ModuleConstraints, solution: Solution):
+    ``mapping`` takes each constraint variable of ``built`` to its index
+    in ``solution``: the identity for a module solved on its own, the
+    linker's member→joint map (:attr:`repro.link.LinkedProgram.
+    var_maps`) for one member of a linked program.  :meth:`points_to`
+    answers in ``solution``'s indexes.
+    """
+
+    def __init__(
+        self,
+        built: ModuleConstraints,
+        solution: Solution,
+        mapping: Optional[Sequence[int]] = None,
+    ):
         self.built = built
         self.solution = solution
+        self.mapping = (
+            range(built.program.num_vars) if mapping is None else mapping
+        )
         self._value_of_loc: Dict[int, Value] = {}
         for value, loc in built.memloc_of.items():
-            self._value_of_loc[loc] = value
+            self._value_of_loc[self.mapping[loc]] = value
         for call, loc in built.heap_site_of.items():
-            self._value_of_loc[loc] = call
+            self._value_of_loc[self.mapping[loc]] = call
+
+    @property
+    def module(self) -> Module:
+        return self.built.module
 
     # ------------------------------------------------------------------
-
-    def var_of(self, value: Value) -> Optional[int]:
-        """Constraint variable holding ``value`` (None if untracked)."""
-        return self.built.var_of_value.get(value)
 
     def points_to(self, value: Value) -> FrozenSet:
         """Sol of the pointer held in ``value`` (variable indexes/OMEGA).
 
         Untracked values (null, scalars) have an empty solution.
         """
-        var = self.var_of(value)
+        var = self.built.var_of_value.get(value)
         if var is None:
             return frozenset()
-        return self.solution.points_to(var)
+        return self.solution.points_to(self.mapping[var])
 
     def points_to_values(self, value: Value) -> FrozenSet:
         """Sol mapped back to IR memory objects; OMEGA passes through."""
@@ -68,9 +83,12 @@ class PointsToResult:
         return OMEGA in self.points_to(value)
 
     def externally_accessible_values(self) -> FrozenSet:
-        """E mapped back to IR memory objects."""
+        """The module's memory objects that are in E."""
+        external = self.solution.external
         return frozenset(
-            self._value_of_loc.get(x, x) for x in self.solution.external
+            value
+            for loc, value in self._value_of_loc.items()
+            if loc in external
         )
 
     def __repr__(self) -> str:  # pragma: no cover

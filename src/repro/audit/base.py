@@ -6,11 +6,10 @@ consume:
 - the **constraint tier** — the (joint) :class:`ConstraintProgram` and
   its canonical :class:`Solution` — always present, whether the program
   came from the C frontend or from imported LIR constraint text; and
-- the **IR tier** — per-member value-level views (anything exposing the
-  ``points_to(value)`` / ``externally_accessible_values()`` /
-  ``.built`` duck type of :class:`repro.serve.project.MemberBinding`
-  or :class:`repro.analysis.api.PointsToResult`) — present only for
-  members with IR behind them.
+- the **IR tier** — per-member value-level views
+  (:class:`repro.analysis.api.PointsToResult`, each bound to the joint
+  solution through its member's local→joint ``mapping``) — present
+  only for members with IR behind them.
 
 Constraint-tier clients (``escape``, ``calls``) run everywhere,
 including over ``.lir`` imports; IR-tier clients (``races``,
@@ -105,8 +104,7 @@ class AuditContext:
 
 def solution_index(binding, loc: int) -> int:
     """Map a member-local constraint variable into solution index space
-    through the :class:`~repro.serve.project.MemberBinding`'s
-    local→joint ``mapping``."""
+    through the binding's local→joint ``mapping``."""
     return binding.mapping[loc]
 
 

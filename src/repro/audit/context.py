@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from ..analysis.api import PointsToResult
 from ..analysis.frontend import SummaryFn, build_constraints
 from ..analysis.solution import Solution
 from ..link import LinkedProgram
@@ -35,17 +36,15 @@ def build_audit_context(
     constraint-tier clients never pay for re-lowering.
     """
 
-    def load() -> Dict[str, object]:
-        from ..serve.project import MemberBinding  # avoid import cycle
-
-        members: Dict[str, object] = {}
+    def load() -> Dict[str, PointsToResult]:
+        members: Dict[str, PointsToResult] = {}
         for src in ir_sources:
             module = pipeline.lower(src)
             built = build_constraints(
                 module, summaries if summaries is not None else pipeline.summaries
             )
-            members[src.name] = MemberBinding(
-                built, linked.var_maps[src.name], solution
+            members[src.name] = PointsToResult(
+                built, solution, linked.var_maps[src.name]
             )
         return members
 

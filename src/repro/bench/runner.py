@@ -143,7 +143,6 @@ def build_tasks(
     files: Sequence[CorpusFile],
     config_names: Sequence[str],
     repetitions: int = 3,
-    pts_backend: Optional[str] = None,
     timing: str = "wall",
 ) -> List[SolveTask]:
     """The (file, configuration) task list in canonical file-major order.
@@ -164,7 +163,6 @@ def build_tasks(
                     source_hash=digest,
                     config_name=name,
                     spec=file.spec,
-                    pts_backend=pts_backend,
                     repetitions=repetitions,
                     timing=timing,
                 )
@@ -190,7 +188,6 @@ def run_experiment(
     config_names: Sequence[str],
     repetitions: int = 3,
     validate: bool = True,
-    pts_backend: Optional[str] = None,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     timing: str = "wall",
@@ -201,9 +198,7 @@ def run_experiment(
 
     The timed region is ``solve_prepared`` only — the paper's phase 2.
     When ``validate`` is set, every configuration's solution is compared
-    against the first configuration's (paper §V-A).  ``pts_backend``
-    overrides the points-to-set representation of every configuration
-    (results are keyed by the *given* names regardless).  ``jobs`` fans
+    against the first configuration's (paper §V-A).  ``jobs`` fans
     tasks out over worker processes; ``cache`` memoises solved results
     on disk; ``timing`` is ``"wall"`` (measured) or ``"cost"``
     (deterministic work-counter pseudo-time).  Results are recorded in
@@ -214,9 +209,7 @@ def run_experiment(
     event per task.  Neither changes solutions, runtimes or cache keys.
     """
     files = list(files)
-    tasks = build_tasks(
-        files, config_names, repetitions, pts_backend, timing
-    )
+    tasks = build_tasks(files, config_names, repetitions, timing)
     contexts = build_contexts(files) if jobs == 1 else None
     task_results, driver_stats = solve_tasks(
         tasks,
@@ -251,7 +244,9 @@ def run_experiment(
 # ----------------------------------------------------------------------
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(
+    argv: Optional[List[str]] = None, prog: Optional[str] = None
+) -> int:
     import argparse
     import pathlib
     import time
@@ -261,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .suite import build_corpus, flatten
 
     parser = argparse.ArgumentParser(
-        description="Parallel cached corpus experiment runner"
+        prog=prog, description="Parallel cached corpus experiment runner"
     )
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, help="worker processes"
@@ -290,9 +285,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repetitions", type=_positive_int, default=3)
     parser.add_argument(
-        "--pts-backend", choices=("set", "bitset"), default=None
-    )
-    parser.add_argument(
         "--timing", choices=("wall", "cost"), default="wall",
         help="wall: measured runtime; cost: deterministic pseudo-time",
     )
@@ -307,19 +299,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--trace-out", type=pathlib.Path, default=None,
         help="write JSONL trace events here (implies --profile)",
-    )
-    parser.add_argument(
-        "--ladder", type=int, default=0, metavar="N",
-        help="also run the N-unit incremental-completeness ladder"
-        " (staged pipeline, sharing this run's cache)",
-    )
-    parser.add_argument(
-        "--ladder-size", type=int, default=50,
-        help="statements per ladder translation unit",
-    )
-    parser.add_argument(
-        "--ladder-out", type=pathlib.Path, default=None,
-        help="write the full ladder report (incl. per-stage timings) here",
     )
     args = parser.parse_args(argv)
 
@@ -349,7 +328,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             files,
             [config.name for config in args.configs] or TABLE5_CONFIGS,
             repetitions=args.repetitions,
-            pts_backend=args.pts_backend,
             jobs=args.jobs,
             cache=cache,
             timing=args.timing,
@@ -379,44 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.out is not None:
         args.out.write_text(results.to_json() + "\n")
         print(f"\nwrote {args.out}")
-
-    if args.ladder > 0:
-        from ..analysis.config import parse_name
-        from .corpus import ProgramSpec
-        from .ladder import (
-            DEFAULT_CONFIG_NAME,
-            check_monotone,
-            format_table,
-            run_ladder,
-        )
-
-        spec = ProgramSpec(
-            name=f"ladder-{args.ladder}x{args.ladder_size}",
-            seed=args.seed,
-            n_units=args.ladder,
-            unit_size=args.ladder_size,
-        )
-        ladder_config = (
-            args.configs[0] if args.configs else parse_name(DEFAULT_CONFIG_NAME)
-        )
-        report = run_ladder(spec, ladder_config, cache=cache)
-        print(f"\nincremental completeness ({spec.name},"
-              f" {ladder_config.name}):")
-        print(format_table(report))
-        for problem in check_monotone(report["rungs"]):
-            print(f"warning: {problem}")
-        stage_lines = ", ".join(
-            f"{stage} {stats['seconds']:.3f}s"
-            f" ({stats['runs']}r/{stats['hits']}h)"
-            for stage, stats in report["stages"].items()
-        )
-        print(f"stages: {stage_lines}")
-        if args.ladder_out is not None:
-            args.ladder_out.write_text(
-                json.dumps(report, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            print(f"wrote {args.ladder_out}")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Compact, picklable units of work for the parallel driver.
 
 A :class:`SolveTask` carries only primitives — a :class:`FileSpec`
-recipe (or raw C source), a configuration *name*, a backend name —
-never solver objects, interned frozensets or constraint programs.
+recipe (or raw C source) and a configuration *name* — never solver
+objects, interned frozensets or constraint programs.
 Worker processes re-derive everything heavyweight from the task via
 :func:`context_for`, memoising per file content hash so a worker that
 receives several configurations of the same file compiles it once.
@@ -15,7 +15,6 @@ comparable across processes.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
@@ -75,7 +74,6 @@ class SolveTask:
     config_name: str
     spec: Optional["FileSpec"] = None
     source: Optional[str] = None
-    pts_backend: Optional[str] = None
     repetitions: int = 3
     timing: str = "wall"
     #: what ``source`` holds: ``"c"`` (a C translation unit, the
@@ -98,10 +96,7 @@ class SolveTask:
             raise ValueError("corpus specs always generate C source")
 
     def configuration(self) -> Configuration:
-        config = parse_name(self.config_name)
-        if self.pts_backend is not None:
-            config = dataclasses.replace(config, pts=self.pts_backend)
-        return config
+        return parse_name(self.config_name)
 
     def cache_key(self) -> str:
         """The on-disk cache identity of this task's result.

@@ -24,7 +24,7 @@ Surfaced on the command line as ``repro serve`` (persistent) and
 """
 
 from .client import InProcessClient, ServeClient, ServeError
-from .project import MemberBinding, Project, Snapshot
+from .project import Project, Snapshot
 from .protocol import (
     ACCEPTED_SCHEMAS,
     DEFAULT_MAX_REQUEST_BYTES,
@@ -58,7 +58,6 @@ __all__ = [
     "ERROR_CODES",
     "InProcessClient",
     "LRUMemo",
-    "MemberBinding",
     "ORACLES",
     "PROTOCOL_SCHEMA",
     "Project",

@@ -35,69 +35,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.config import Configuration, supports_warm_start
-from ..analysis.frontend import ModuleConstraints, SummaryFn, build_constraints
+from ..analysis.frontend import SummaryFn, build_constraints
 from ..analysis.solution import Solution
 from ..analysis.solvers.base import Fixpoint, FixpointCarry, WarmStart
-from ..analysis.api import DEFAULT_CONFIGURATION
+from ..analysis.api import DEFAULT_CONFIGURATION, PointsToResult
 from ..driver.cache import ResultCache
 from ..frontend import FRONTEND_ERRORS
 from ..link import LinkedProgram, LinkOptions, contain
 from ..obs import NULL_REGISTRY, Registry
 from ..pipeline import ConstraintsArtifact, Pipeline, SourceArtifact
 
-__all__ = ["MemberBinding", "Project", "Snapshot"]
-
-
-class MemberBinding:
-    """One member's IR↔joint-solution view, for value-level queries.
-
-    The joint :class:`Solution` speaks joint constraint-variable
-    indexes; alias oracles and the call-graph client speak IR values of
-    one member module.  A binding re-derives the member's
-    :class:`ModuleConstraints` (deterministic from the memoised module)
-    and composes its value→variable map with the linker's
-    original→joint map, presenting exactly the interface
-    :class:`repro.alias.AndersenAA` and
-    :func:`repro.clients.callgraph.build_call_graph` consume.
-    """
-
-    def __init__(
-        self,
-        built: ModuleConstraints,
-        mapping: Sequence[int],
-        solution: Solution,
-    ):
-        self.built = built
-        self.mapping = list(mapping)
-        self.solution = solution
-        self._value_of_loc: Dict[int, object] = {}
-        for value, loc in built.memloc_of.items():
-            self._value_of_loc[loc] = value
-        for call, loc in built.heap_site_of.items():
-            self._value_of_loc[loc] = call
-
-    @property
-    def module(self):
-        return self.built.module
-
-    def points_to(self, value) -> frozenset:
-        """Sol of the member value, in *joint* indexes (plus Ω)."""
-        var = self.built.var_of_value.get(value)
-        if var is None:
-            return frozenset()
-        try:
-            return self.solution.points_to(self.mapping[var])
-        except KeyError:
-            return frozenset()
-
-    def externally_accessible_values(self) -> frozenset:
-        """The member's memory objects that are in the joint E."""
-        external = self.solution.external
-        return frozenset(
-            value
-            for loc, value in self._value_of_loc.items()
-            if self.mapping[loc] in external
-        )
+__all__ = ["Project", "Snapshot"]
 
 
 @dataclass
@@ -123,7 +71,7 @@ class Snapshot:
     #: the solve's fixpoint beyond the solution, for the next update's
     #: warm start; never cached or persisted
     _fixpoint: Optional[Fixpoint] = None
-    _bindings: Dict[str, MemberBinding] = field(default_factory=dict)
+    _bindings: Dict[str, PointsToResult] = field(default_factory=dict)
     _vars_by_name: Optional[Dict[str, List[int]]] = None
     #: guards the lazy binding/name-index memos — concurrent read-only
     #: query workers share one snapshot and may race to derive them
@@ -140,8 +88,11 @@ class Snapshot:
                 return src
         raise KeyError(name)
 
-    def binding(self, name: str) -> MemberBinding:
-        """The (lazily built) value-level view of one member."""
+    def binding(self, name: str) -> PointsToResult:
+        """The (lazily built) value-level view of one member: its
+        re-derived :class:`~repro.analysis.frontend.ModuleConstraints`
+        (deterministic from the memoised module) bound to the joint
+        solution through the linker's member→joint map."""
         with self._lock:
             binding = self._bindings.get(name)
             if binding is not None:
@@ -154,8 +105,8 @@ class Snapshot:
                 raise RuntimeError(
                     f"non-deterministic constraint build for member {name!r}"
                 )
-            binding = MemberBinding(
-                built, self.linked.var_maps[name], self.solution
+            binding = PointsToResult(
+                built, self.solution, self.linked.var_maps[name]
             )
             self._bindings[name] = binding
             return binding

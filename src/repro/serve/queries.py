@@ -23,13 +23,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..alias import (
-    AndersenAA,
-    BasicAA,
-    CombinedAA,
-    conflict_rate_fn,
-    memory_accesses,
-)
+from ..alias import conflict_rate_fn, memory_accesses
 from ..analysis.omega import OMEGA
 from ..audit import (
     AuditContext,
@@ -38,6 +32,7 @@ from ..audit import (
     ParamError,
     REQUIRED,
     canonical_json,
+    make_oracle,
     normalize_client_params,
     normalize_params,
     run_audit,
@@ -290,13 +285,7 @@ class QueryEngine:
         key = (member, oracle)
         aa = self._oracles.get(key)
         if aa is None:
-            binding = self._binding(member)
-            if oracle == "andersen":
-                aa = AndersenAA(binding)
-            elif oracle == "basicaa":
-                aa = BasicAA()
-            else:
-                aa = CombinedAA([AndersenAA(binding), BasicAA()])
+            aa = make_oracle(self._binding(member), oracle)
             self._oracles[key] = aa
         return aa
 

@@ -502,13 +502,11 @@ class AnalysisServer:
         cached = self._constraints_memo.get(key)
         if cached is not None:
             return cached
-        from ..driver.tasks import FileContext
-        from ..analysis.config import solve_prepared
+        from ..analysis.config import prepare_program, solve_prepared
         from ..interchange import parse_constraint_text
 
         program = parse_constraint_text(text, "<constraints>")
-        context = FileContext("<constraints>", key[1], program)
-        solution = solve_prepared(context.prepared(config), config)
+        solution = solve_prepared(prepare_program(program, config), config)
         result = {
             "config": config.name,
             "vars": program.num_vars,

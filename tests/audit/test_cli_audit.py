@@ -132,7 +132,12 @@ class TestAuditRelink:
 
     @pytest.mark.parametrize(
         "extra",
-        [[], ["--internalize"], ["--reduce"], ["--pts-backend", "bitset"]],
+        [
+            [],
+            ["--internalize"],
+            ["--config", "IP+Reduce+WL(FIFO)+PIP"],
+            ["--config", "IP+WL(FIFO)+PIP+PTS(bitset)"],
+        ],
         ids=["open", "internalize", "reduce", "bitset"],
     )
     def test_escape_report_survives_relink(self, extra, audit_both):

@@ -32,7 +32,6 @@ SOURCE_B = SOURCE_A + "\nint extra_global;\n"
 def make_task(
     source=SOURCE_A,
     config="IP+WL(FIFO)",
-    backend=None,
     timing="cost",
     repetitions=1,
     index=0,
@@ -43,7 +42,6 @@ def make_task(
         source_hash=source_digest(source),
         config_name=config,
         source=source,
-        pts_backend=backend,
         repetitions=repetitions,
         timing=timing,
     )
@@ -90,7 +88,7 @@ class TestCacheKey:
         distinct = [
             make_task(source=SOURCE_B),
             make_task(config="IP+WL(LIFO)"),
-            make_task(backend="bitset"),
+            make_task(config="IP+WL(FIFO)+PTS(bitset)"),
             make_task(timing="wall"),
         ]
         keys = {t.cache_key() for t in distinct} | {base.cache_key()}
@@ -104,6 +102,15 @@ class TestCacheKey:
         assert (
             make_task(timing="cost", repetitions=1).cache_key()
             == make_task(timing="cost", repetitions=5).cache_key()
+        )
+
+    def test_key_is_pinned(self):
+        # Recorded when the backend still travelled beside the name
+        # (config "IP+WL(FIFO)+PIP" with a separate "bitset" backend):
+        # spelling it in the name must keep every cache entry's key.
+        task = make_task(config="IP+WL(FIFO)+PIP+PTS(bitset)")
+        assert task.cache_key() == (
+            "de33149671fc6649d4162cef6deafa98e12eb8dc5b74adfa4e815684419857f0"
         )
 
     def test_configuration_cache_key_distinguishes_backend(self):
@@ -135,7 +142,7 @@ class TestCacheBehaviour:
         for variant in (
             make_task(source=SOURCE_B),
             make_task(config="EP+Naive"),
-            make_task(backend="bitset"),
+            make_task(config="IP+WL(FIFO)+PTS(bitset)"),
         ):
             cache = ResultCache(tmp_path)
             result, _ = self.solve(variant, cache)

@@ -21,6 +21,8 @@ CONFIGS = [
     "IP+WL(FIFO)",
     "IP+WL(FIFO)+PIP",
 ]
+BITSET = "+PTS(bitset)"
+BITSET_CONFIGS = [name + BITSET for name in CONFIGS]
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +55,11 @@ class TestParallelEqualsSerial:
 
     def test_bitset_backend_jobs_2(self, corpus_files):
         serial = run_experiment(
-            corpus_files, CONFIGS, repetitions=1, timing="cost",
-            pts_backend="bitset",
+            corpus_files, BITSET_CONFIGS, repetitions=1, timing="cost"
         )
         parallel = run_experiment(
-            corpus_files, CONFIGS, repetitions=1, timing="cost",
-            pts_backend="bitset", jobs=2,
+            corpus_files, BITSET_CONFIGS, repetitions=1, timing="cost",
+            jobs=2,
         )
         assert parallel.to_json() == serial.to_json()
 
@@ -67,13 +68,15 @@ class TestParallelEqualsSerial:
         runtimes differ — cost units track per-backend work exactly, so
         only the solution-shaped columns are compared)."""
         bitset = run_experiment(
-            corpus_files, CONFIGS, repetitions=1, timing="cost",
-            pts_backend="bitset",
+            corpus_files, BITSET_CONFIGS, repetitions=1, timing="cost"
         )
         from repro.bench import RunResults
 
         set_results = RunResults.from_json(serial_json)
-        assert bitset.pointees == set_results.pointees
+        assert {
+            name.removesuffix(BITSET): pointees
+            for name, pointees in bitset.pointees.items()
+        } == set_results.pointees
 
     def test_record_order_is_file_major(self, corpus_files, serial_json):
         from repro.bench import RunResults

@@ -130,10 +130,16 @@ class TestConstraintsSolve:
         ]
         base = digest(self.solve([str(lir)], capsys))
         assert digest(
-            self.solve([str(lir), "--backend", "bitset"], capsys)
+            self.solve(
+                [str(lir), "--config", "IP+WL(FIFO)+PIP+PTS(bitset)"], capsys
+            )
         ) == base
         assert digest(
-            self.solve([str(lir), "--reduce", "--jobs", "2"], capsys)
+            self.solve(
+                [str(lir), "--config", "IP+Reduce+WL(FIFO)+PIP",
+                 "--jobs", "2"],
+                capsys,
+            )
         ) == base
 
     def test_show_solution(self, tu_pair, tmp_path, capsys):

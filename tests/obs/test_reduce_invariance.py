@@ -17,10 +17,12 @@ from repro.bench import build_corpus, flatten, run_experiment
 from repro.driver import ResultCache
 from repro.obs import Registry, TraceWriter, validate_trace_text
 
+# bitset backend: the operation memo only engages on backends with a
+# cheap value key, so its hit/miss counters are exercised here.
 REDUCE_CONFIGS = [
-    "IP+Reduce+WL(FIFO)",
-    "IP+Reduce+WL(FIFO)+PIP",
-    "EP+Reduce+WL(FIFO)+LCD+DP",
+    "IP+Reduce+WL(FIFO)+PTS(bitset)",
+    "IP+Reduce+WL(FIFO)+PIP+PTS(bitset)",
+    "EP+Reduce+WL(FIFO)+LCD+DP+PTS(bitset)",
 ]
 
 
@@ -38,11 +40,9 @@ def profiled_run(corpus_files, **kwargs):
     registry = Registry()
     buf = io.StringIO()
     trace = TraceWriter(buf)
-    # bitset backend: the operation memo only engages on backends with a
-    # cheap value key, so its hit/miss counters are exercised here.
     results = run_experiment(
         corpus_files, REDUCE_CONFIGS, repetitions=1, timing="cost",
-        pts_backend="bitset", registry=registry, trace=trace, **kwargs
+        registry=registry, trace=trace, **kwargs
     )
     trace.close()
     return results, registry, buf.getvalue()

@@ -45,7 +45,9 @@ class TestCLI:
         assert "ImpFunc" in out  # from the constraint dump
 
     def test_analyze_pts_backend(self, cfile, capsys):
-        assert main(["analyze", cfile, "--pts-backend", "bitset"]) == 0
+        assert main(
+            ["analyze", cfile, "--config", "IP+WL(FIFO)+PIP+PTS(bitset)"]
+        ) == 0
         bitset_out = capsys.readouterr().out
         assert main(["analyze", cfile]) == 0
         set_out = capsys.readouterr().out
@@ -56,8 +58,12 @@ class TestCLI:
         assert strip(bitset_out) == strip(set_out)
 
     def test_analyze_unknown_pts_backend_rejected(self, cfile, capsys):
-        with pytest.raises(SystemExit):
-            main(["analyze", cfile, "--pts-backend", "roaring"])
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", cfile, "--config", "IP+WL(FIFO)+PTS(roaring)"])
+        assert exc.value.code == 2
+        assert "unknown points-to-set backend 'roaring'" in (
+            capsys.readouterr().err
+        )
 
     def test_sweep(self, cfile, capsys):
         assert main(["sweep", cfile]) == 0
@@ -65,9 +71,19 @@ class TestCLI:
         assert "identical solution" in out
 
     def test_sweep_pts_backend(self, cfile, capsys):
-        assert main(["sweep", cfile, "--pts-backend", "bitset"]) == 0
+        names = [
+            "EP+Naive",
+            "EP+OVS+WL(LRF)+OCD",
+            "IP+WL(FIFO)",
+            "IP+WL(FIFO)+LCD+DP",
+            "IP+WL(FIFO)+PIP",
+        ]
+        assert main(
+            ["sweep", cfile, *(name + "+PTS(bitset)" for name in names)]
+        ) == 0
         out = capsys.readouterr().out
         assert "identical solution" in out
+        assert "IP+WL(FIFO)+PIP+PTS(bitset)" in out
 
     def test_configs(self, capsys):
         assert main(["configs"]) == 0
@@ -274,6 +290,48 @@ class TestConfigurationNames:
         assert "Traceback" not in err
 
 
+class TestOneSpelling:
+    """A configuration is chosen by its name alone: no flag re-sets its
+    backend or Reduce axis after the name is parsed."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analyze", "{c}"], ["--pts-backend", "bitset"]),
+            (["analyze", "{c}"], ["--reduce"]),
+            (["sweep", "{c}"], ["--pts-backend", "bitset"]),
+            (["audit", "escape", "{c}"], ["--pts-backend", "bitset"]),
+            (["audit", "escape", "{c}"], ["--reduce"]),
+            (["constraints", "solve", "{lir}"], ["--pts-backend", "bitset"]),
+            (["constraints", "solve", "{lir}"], ["--backend", "bitset"]),
+            (["constraints", "solve", "{lir}"], ["--reduce"]),
+            (["run"], ["--pts-backend", "bitset"]),
+            (["run"], ["--ladder", "2"]),
+            (["run"], ["--ladder-size", "10"]),
+            (["run"], ["--ladder-out", "ladder.json"]),
+        ],
+        ids=lambda arg: "-".join(
+            a.lstrip("-") for a in arg if not a.startswith("{")
+        ),
+    )
+    def test_removed_flag_is_a_usage_error(self, argv, flag, cfile, capsys):
+        lir = pathlib.Path(__file__).parent / "audit/fixtures/leak.lir"
+        argv = [arg.format(c=cfile, lir=lir) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert "Traceback" not in err
+
+    def test_run_usage_names_repro_run(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--configs", "NOPE"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: repro run ")
+
+
 class TestVersionAndDiagnostics:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -305,6 +363,40 @@ class TestVersionAndDiagnostics:
         assert "Traceback" not in captured.err
         [line] = [l for l in captured.err.splitlines() if l]
         assert line.startswith("repro: error: broken.c:2: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{corpus}/hashtable.c"],
+            ["link", "{corpus}/arena.c", "{corpus}/hashtable.c",
+             "--show-solution"],
+            ["run", "--no-cache", "--timing", "cost", "--repetitions", "1",
+             "--files-scale", "0.004", "--size-scale", "0.006",
+             "--profiles", "505.mcf", "--configs", "IP+WL(FIFO)"],
+        ],
+        ids=["analyze", "link", "run"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        """``repro … | head`` whose reader is gone: a nonzero exit and
+        nothing on stderr.  The read end is closed before the command
+        starts, so its first flush fails every time."""
+        import os
+        import subprocess
+        import sys
+
+        corpus = pathlib.Path(__file__).parent.parent / "examples/corpus"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro",
+                 *(arg.format(corpus=corpus) for arg in argv)],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
     def test_sema_error_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "sema.c"
