@@ -17,14 +17,13 @@ import os
 
 import pytest
 
-from repro.bench import (
+from repro.bench.report import measure_precision
+from repro.bench.runner import (
     EP_ORACLE_CONFIGS,
     TABLE5_CONFIGS,
-    build_corpus,
-    flatten,
-    measure_precision,
     run_experiment,
 )
+from repro.bench.suite import build_corpus, flatten
 
 FILES_SCALE = float(os.environ.get("REPRO_BENCH_FILES_SCALE", "0.008"))
 SIZE_SCALE = float(os.environ.get("REPRO_BENCH_SIZE_SCALE", "0.012"))

@@ -27,23 +27,24 @@ import time
 
 from repro.driver import ResultCache
 
-from repro.bench import (
-    EP_ORACLE_CONFIGS,
-    TABLE5_CONFIGS,
-    TABLE6_CONFIGS,
-    build_corpus,
+from repro.bench.report import (
     figure9,
     figure10,
-    flatten,
     headline_claims,
     measure_precision,
     render_headlines,
     render_ratio_series,
-    run_experiment,
     table3,
     table5,
     table6,
 )
+from repro.bench.runner import (
+    EP_ORACLE_CONFIGS,
+    TABLE5_CONFIGS,
+    TABLE6_CONFIGS,
+    run_experiment,
+)
+from repro.bench.suite import build_corpus, flatten
 
 
 def main(argv=None) -> int:

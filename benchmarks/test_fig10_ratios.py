@@ -7,7 +7,7 @@ asserted: IP wins on the bulk of files and on every expensive file; PIP
 is slightly slower on many cheap files but collapses the worst cases.
 """
 
-from repro.bench import figure10, render_ratio_series
+from repro.bench.report import figure10, render_ratio_series
 from repro.bench.timing import distribution
 
 

@@ -9,7 +9,7 @@ alone.
 
 from repro.alias import AndersenAA, BasicAA, CombinedAA, conflict_rate
 from repro.analysis import analyze_module
-from repro.bench import figure9
+from repro.bench.report import figure9
 
 
 def test_conflict_rate_client(benchmark, corpus_files):

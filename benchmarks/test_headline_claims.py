@@ -12,7 +12,7 @@ assertions check *direction and rough magnitude*, not exact values:
 - Andersen+BasicAA removes a large share of MayAlias answers (paper 40%).
 """
 
-from repro.bench import headline_claims, render_headlines
+from repro.bench.report import headline_claims, render_headlines
 
 
 def test_headline_claims(benchmark, experiment_results, corpus, precision_results):

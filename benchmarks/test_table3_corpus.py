@@ -6,7 +6,7 @@ whose output sizes the table reports.
 """
 
 from repro.analysis import build_constraints
-from repro.bench import table3
+from repro.bench.report import table3
 
 
 def test_table3_constraint_generation(benchmark, corpus, corpus_files):

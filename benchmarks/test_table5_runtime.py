@@ -12,7 +12,8 @@ paper's orderings are asserted:
 import pytest
 
 from repro.analysis.config import parse_name, solve_prepared
-from repro.bench import EP_ORACLE_CONFIGS, TABLE5_CONFIGS, table5
+from repro.bench.report import table5
+from repro.bench.runner import EP_ORACLE_CONFIGS, TABLE5_CONFIGS
 
 ROWS = TABLE5_CONFIGS + ["EP+WL(FIFO)", "EP+Naive"]
 

@@ -7,7 +7,8 @@ of magnitude.  Asserted ordering (the paper's rows):
     EP  ≫  IP  ≥  IP+LCD+DP  ≥  IP+PIP
 """
 
-from repro.bench import TABLE6_CONFIGS, table6
+from repro.bench.report import table6
+from repro.bench.runner import TABLE6_CONFIGS
 from repro.bench.timing import distribution
 
 

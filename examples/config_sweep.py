@@ -21,7 +21,8 @@ from repro.analysis import (
     solve_prepared,
     validate_identical,
 )
-from repro.bench import FileSpec, build_file
+from repro.bench.corpus import FileSpec
+from repro.bench.suite import build_file
 
 SWEEP = [
     "EP+Naive",

@@ -223,19 +223,11 @@ def _load_module(path: str, headers_dir: Optional[str]):
 
 
 def _member_constraints(pipeline, src):
-    """``src``'s constraint artifact; a frontend error names the file.
-
-    ``.lir`` members enter through the interchange front door, anything
-    else through the C frontend.
-    """
-    try:
-        if src.name.endswith(".lir"):
-            return pipeline.constraints_from_text(src)
-        return pipeline.constraints(src)
-    except FRONTEND_ERRORS as exc:
-        if getattr(exc, "source_name", None) is None:
-            exc.source_name = src.name
-        raise
+    """``src``'s constraint artifact: ``.lir`` members enter through the
+    interchange front door, anything else through the C frontend."""
+    if src.name.endswith(".lir"):
+        return pipeline.constraints_from_text(src)
+    return pipeline.constraints(src)
 
 
 def _link_failed(exc, trace) -> int:
@@ -481,10 +473,6 @@ def cmd_audit(args) -> int:
         pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
         for f in args.files
     ]
-    # ``.lir`` files enter through the interchange front door; anything
-    # else through the C frontend.  Constraint-tier clients cover both;
-    # IR-tier clients see only the C members.
-    ir_sources = [s for s in sources if not s.name.endswith(".lir")]
     members = [_member_constraints(pipeline, src) for src in sources]
     try:
         linked = pipeline.link(members, options).linked
@@ -492,7 +480,10 @@ def cmd_audit(args) -> int:
         return _link_failed(exc, trace)
     solution = pipeline.solve(linked.program, config).solution
 
-    context = build_audit_context(pipeline, ir_sources, linked, solution)
+    # Constraint-tier clients cover every member; IR-tier clients see
+    # only the C members.
+    ir_members = [m for m in members if not m.name.endswith(".lir")]
+    context = build_audit_context(pipeline, ir_members, linked, solution)
     params = {}
     if args.oracle is not None:
         params["oracle"] = args.oracle
@@ -605,6 +596,9 @@ def cmd_constraints_solve(args) -> int:
                 config_name=config.name,
                 source=text,
                 repetitions=1,
+                # Nothing prints or writes a runtime: a wall timing
+                # would only solve every file again.
+                timing="cost",
                 source_kind="lir",
             )
         )
@@ -983,11 +977,10 @@ def _parser() -> argparse.ArgumentParser:
             " (default: 1 MiB)",
         )
         p.add_argument(
-            "--memo-max-entries", "--memo-entries", dest="memo_entries",
+            "--memo-max-entries", dest="memo_entries",
             type=_positive_int, default=1024, metavar="N",
             help="per-project query-memo capacity; each commit drops"
-            " the superseded generations' entries (--memo-entries is"
-            " the old spelling)",
+            " the superseded generations' entries",
         )
         _add_cache_options(p, "pipeline stage artifacts")
         _add_obs_options(p)

@@ -10,13 +10,11 @@ clients still cover them through the joint program.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
-from ..analysis.api import PointsToResult
-from ..analysis.frontend import SummaryFn, build_constraints
 from ..analysis.solution import Solution
 from ..link import LinkedProgram
-from ..pipeline import Pipeline, SourceArtifact
+from ..pipeline import ConstraintsArtifact, Pipeline
 from .base import AuditContext
 
 __all__ = ["build_audit_context"]
@@ -24,28 +22,25 @@ __all__ = ["build_audit_context"]
 
 def build_audit_context(
     pipeline: Pipeline,
-    ir_sources: Sequence[SourceArtifact],
+    ir_members: Sequence[ConstraintsArtifact],
     linked: LinkedProgram,
     solution: Solution,
-    summaries: Optional[Dict[str, SummaryFn]] = None,
 ) -> AuditContext:
     """Audit context over a linked+solved program.
 
-    ``ir_sources`` are the *C* members only (callers route ``.lir``
-    members around this list).  Bindings are derived lazily — pure
-    constraint-tier clients never pay for re-lowering.
+    ``ir_members`` are the artifacts of the *C* members only (callers
+    route ``.lir`` members around this list).  Bindings are derived
+    lazily, from the IR maps each artifact keeps
+    (:meth:`~repro.pipeline.Pipeline.bind`) — pure constraint-tier
+    clients never touch them.
     """
-
-    def load() -> Dict[str, PointsToResult]:
-        members: Dict[str, PointsToResult] = {}
-        for src in ir_sources:
-            module = pipeline.lower(src)
-            built = build_constraints(
-                module, summaries if summaries is not None else pipeline.summaries
+    return AuditContext(
+        linked.program,
+        solution,
+        loader=lambda: {
+            member.name: pipeline.bind(
+                member, solution, linked.var_maps[member.name]
             )
-            members[src.name] = PointsToResult(
-                built, solution, linked.var_maps[src.name]
-            )
-        return members
-
-    return AuditContext(linked.program, solution, loader=load)
+            for member in ir_members
+        },
+    )

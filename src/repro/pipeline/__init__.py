@@ -16,6 +16,7 @@ from .stages import (
     SolveArtifact,
     SourceArtifact,
     StageStats,
+    constraints_key,
 )
 
 __all__ = [
@@ -26,4 +27,5 @@ __all__ = [
     "SolveArtifact",
     "SourceArtifact",
     "StageStats",
+    "constraints_key",
 ]

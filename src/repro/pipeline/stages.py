@@ -8,8 +8,8 @@ stage     artifact                     cache key hashes
 ========  ===========================  ==============================
 source    :class:`SourceArtifact`      the source text itself
 parse     AST translation unit         (not kept: each lower parses afresh)
-lower     :class:`repro.ir.Module`     (in-memory memo by source digest)
-constr    :class:`ConstraintsArtifact` source digest + summaries tag
+lower     :class:`repro.ir.Module`     (not kept: held by its member)
+constr    :class:`ConstraintsArtifact` source digest (:func:`constraints_key`)
 link      :class:`LinkArtifact`        member program digests + options
 solve     :class:`SolveArtifact`       program digest + configuration
 ========  ===========================  ==============================
@@ -18,9 +18,11 @@ The ``constraints``, ``link`` and ``solve`` stages persist to the
 driver's :class:`~repro.driver.cache.ResultCache` (when one is given)
 under the ``stages/`` namespace; ``parse`` and ``lower`` produce live
 object graphs (AST/IR) that are cheap relative to their serialised
-size, so only the lowered module is memoised, in-process — a disk hit
-on the *constraints* stage means they never run at all, which is
-exactly how a configuration-only change skips parsing.
+size, so they are never stored — a disk hit on the *constraints* stage
+means they never run at all, which is exactly how a configuration-only
+change skips parsing.  In-process, the pipeline keeps one memo: each
+member's :class:`ConstraintsArtifact`, with the IR maps its build made
+(:meth:`Pipeline.bind` reads them).
 
 Every stage key embeds a per-stage version string, bumped whenever the
 artifact encoding or the producing algorithm changes meaning.
@@ -33,15 +35,16 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterator, Optional, Sequence, Tuple
 
+from ..analysis.api import PointsToResult
 from ..analysis.config import Configuration, prepare_program, solve_prepared
 from ..analysis.constraints import ConstraintProgram
-from ..analysis.frontend import SummaryFn, build_constraints
+from ..analysis.frontend import ModuleConstraints, build_constraints
 from ..analysis.solution import Solution
 from ..analysis.solvers.base import FixpointCarry
 from ..driver.cache import ResultCache
-from ..frontend import analyse, lower, parse, preprocess
+from ..frontend import FRONTEND_ERRORS, analyse, lower, parse, preprocess
 from ..gcpause import paused
 from ..ir.module import Module
 from ..ir.verifier import compute_address_taken, verify_module
@@ -79,6 +82,27 @@ def _key(stage: str, *parts: str) -> str:
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
+def constraints_key(source_digest: str) -> str:
+    """The ``constraints`` stage key of a C source.
+
+    ``"default"`` named the summary registry when the stage could take
+    another; it stays in the key so every existing entry keeps it.
+    """
+    return _key("constraints", source_digest, "default")
+
+
+@contextmanager
+def _attributed(src: "SourceArtifact") -> Iterator[None]:
+    """Name ``src`` on a frontend error, for ``file:line`` diagnostics
+    (the parser and sema know only line numbers)."""
+    try:
+        yield
+    except FRONTEND_ERRORS as exc:
+        if getattr(exc, "source_name", None) is None:
+            exc.source_name = src.name
+        raise
+
+
 def _decode_program(payload: Dict) -> Tuple[ConstraintProgram, str]:
     """A ``constraints``/``import`` stage payload → (program, digest)."""
     digest = payload["digest"]
@@ -112,26 +136,40 @@ class ConstraintsArtifact:
     :attr:`program_digest` is the content hash of the *program* (not
     the source): downstream stage keys chain on it, so two sources
     lowering to the same constraints share link/solve entries.  Only
-    cache keys, the served binding check and ``--state-dir`` read it,
+    cache keys, the rebuilt-binding check and ``--state-dir`` read it,
     so it is computed on first read (or taken from a cache entry) and
     then kept.
+
+    :attr:`built` is the :class:`~repro.analysis.frontend.
+    ModuleConstraints` the program was built from, with its IR ↔
+    variable maps.  It is None for a disk-cache hit, a ``.lir`` import
+    and a restored member; :meth:`Pipeline.bind` rebuilds it for a C
+    member.
     """
 
-    __slots__ = ("name", "key", "program", "_program_digest", "from_cache")
+    __slots__ = (
+        "source", "key", "program", "_program_digest", "from_cache", "built"
+    )
 
     def __init__(
         self,
-        name: str,
+        source: SourceArtifact,
         key: str,
         program: ConstraintProgram,
         program_digest: Optional[str] = None,
         from_cache: bool = False,
+        built: Optional[ModuleConstraints] = None,
     ) -> None:
-        self.name = name
+        self.source = source
         self.key = key
         self.program = program
         self._program_digest = program_digest
         self.from_cache = from_cache
+        self.built = built
+
+    @property
+    def name(self) -> str:
+        return self.source.name
 
     @property
     def program_digest(self) -> str:
@@ -184,7 +222,7 @@ class StageStats:
     runs: int = 0  # times the stage actually did its work
     hits: int = 0  # disk-cache hits (persistent stages only)
     misses: int = 0
-    memo_hits: int = 0  # in-process memo hits (lower)
+    memo_hits: int = 0  # in-process member memo hits (constraints, import)
     seconds: float = 0.0
 
     def to_dict(self, timings: bool = True) -> Dict:
@@ -207,11 +245,7 @@ class StageStats:
 class Pipeline:
     """Orchestrates the staged source→solution path for one process.
 
-    ``cache`` enables the persistent stages; ``summaries`` selects the
-    external-function summary registry for constraint building, with
-    ``summaries_tag`` naming it inside cache keys (callers passing a
-    custom registry must pass a distinct tag, or cache poisoning across
-    registries would go unnoticed).
+    ``cache`` enables the persistent stages.
     """
 
     STAGES = (
@@ -221,17 +255,9 @@ class Pipeline:
     def __init__(
         self,
         cache: Optional[ResultCache] = None,
-        summaries: Optional[Dict[str, SummaryFn]] = None,
-        summaries_tag: str = "default",
         registry: Optional[Registry] = None,
     ) -> None:
-        if summaries is not None and summaries_tag == "default":
-            raise ValueError(
-                "custom summaries require a distinct summaries_tag"
-            )
         self.cache = cache
-        self.summaries = summaries
-        self.summaries_tag = summaries_tag
         #: obs registry mirrored by every stage counter/timer under
         #: ``pipeline.<stage>.*`` (the disabled NULL_REGISTRY by default,
         #: so unprofiled pipelines never touch dict machinery)
@@ -239,15 +265,16 @@ class Pipeline:
         self.stats: Dict[str, StageStats] = {
             stage: StageStats() for stage in self.STAGES
         }
-        # Memo keys include the TU *name*: two identical sources under
-        # different names are still distinct modules (and must carry
-        # their own names into linker diagnostics).
-        self._modules: Dict[tuple, Module] = {}  # (name, digest) → Module
-        # Guards the memos and stage stats: the serve fleet derives
-        # member bindings on reader threads while the writer rebuilds
-        # the next generation through the same pipeline.  Stage *work*
-        # runs outside the lock — two threads racing to the same memo
-        # entry recompute a deterministic value, never corrupt state.
+        # The member memo: (name, digest) → ConstraintsArtifact.  Keys
+        # include the TU *name*: two identical sources under different
+        # names are still distinct modules (and must carry their own
+        # names into linker diagnostics).
+        self._members: Dict[Tuple[str, str], ConstraintsArtifact] = {}
+        # Guards the memo and stage stats: the serve fleet binds members
+        # on reader threads while the writer rebuilds the next
+        # generation through the same pipeline.  Stage *work* runs
+        # outside the lock — two threads racing to the same memo entry
+        # compute a deterministic value, never corrupt state.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -298,38 +325,64 @@ class Pipeline:
         return unit
 
     def lower(self, src: SourceArtifact) -> Module:
-        """AST translation unit → verified ir.Module (in-memory memo)."""
-        key = (src.name, src.digest)
-        module = self._modules.get(key)
-        if module is not None:
-            self._bump("lower", "memo_hits")
-            return module
+        """AST translation unit → verified ir.Module."""
         unit = self.parse(src)
         with self._timed("lower"):
             module = lower(analyse(unit), src.name)
             verify_module(module)
             compute_address_taken(module)
         self._bump("lower", "runs")
-        with self._lock:
-            self._modules[key] = module
         return module
 
-    def retain(self, keys: AbstractSet[Tuple[str, str]]) -> None:
-        """Drop every lower memo entry whose (name, digest) key is not
-        in ``keys``; a later :meth:`lower` of a dropped member runs the
-        frontend again."""
+    def _recall(
+        self, stage: str, src: SourceArtifact
+    ) -> Optional[ConstraintsArtifact]:
+        """``src``'s memoised artifact, counted as a ``stage`` memo hit."""
         with self._lock:
-            for key in [key for key in self._modules if key not in keys]:
-                del self._modules[key]
+            artifact = self._members.get((src.name, src.digest))
+        if artifact is not None:
+            self._bump(stage, "memo_hits")
+        return artifact
+
+    def _remember(self, artifact: ConstraintsArtifact) -> ConstraintsArtifact:
+        with self._lock:
+            self._members[(artifact.name, artifact.source.digest)] = artifact
+        return artifact
+
+    def adopt(self, members: Sequence[ConstraintsArtifact]) -> None:
+        """Memoise artifacts built elsewhere (a restored generation's
+        members), so a later :meth:`constraints` of their sources hits."""
+        for member in members:
+            self._remember(member)
+
+    def retain(self, keys: AbstractSet[Tuple[str, str]]) -> None:
+        """Drop every member memo entry whose (name, digest) key is not
+        in ``keys``; a later :meth:`constraints` of a dropped member
+        builds it again (or loads it from the disk cache)."""
+        with self._lock:
+            for key in [key for key in self._members if key not in keys]:
+                del self._members[key]
+
+    def _build(self, src: SourceArtifact) -> ModuleConstraints:
+        """Lower ``src`` and build its constraints with their IR maps."""
+        with _attributed(src):
+            module = self.lower(src)
+        with self._timed("constraints"):
+            built = build_constraints(module)
+        self._bump("constraints", "runs")
+        return built
 
     def constraints(self, src: SourceArtifact) -> ConstraintsArtifact:
-        """ir.Module → constraint program (persistent stage).
+        """ir.Module → constraint program (memoised, persistent stage).
 
         A disk hit rebuilds the program from its canonical dict without
         ever parsing the source — the stage that makes configuration
         changes and N−1 unchanged files cheap.
         """
-        key = _key("constraints", src.digest, self.summaries_tag)
+        artifact = self._recall("constraints", src)
+        if artifact is not None:
+            return artifact
+        key = constraints_key(src.digest)
         if self.cache is not None:
             hit = self.cache.load_stage("constraints", key, _decode_program)
             if hit is not None:
@@ -342,52 +395,57 @@ class Pipeline:
                     # when read.
                     program.name = src.name
                     digest = None
-                return ConstraintsArtifact(
-                    src.name, key, program, digest, from_cache=True
+                return self._remember(
+                    ConstraintsArtifact(
+                        src, key, program, digest, from_cache=True
+                    )
                 )
             self._bump("constraints", "misses")
-        module = self.lower(src)
-        with self._timed("constraints"):
-            program = build_constraints(module, self.summaries).program
-        self._bump("constraints", "runs")
-        artifact = ConstraintsArtifact(src.name, key, program)
+        built = self._build(src)
+        artifact = ConstraintsArtifact(src, key, built.program, built=built)
         if self.cache is not None:
             self.cache.store_stage(
                 "constraints",
                 key,
                 {
-                    "program": program.to_dict(),
+                    "program": built.program.to_dict(),
                     "digest": artifact.program_digest,
                 },
             )
-        return artifact
+        return self._remember(artifact)
 
     def constraints_from_text(
         self, src: SourceArtifact
     ) -> ConstraintsArtifact:
-        """Constraint-text source → constraint program (persistent stage).
+        """Constraint-text source → constraint program (memoised,
+        persistent stage).
 
         The interchange front door: ``src.text`` is LIR constraint text
         (:mod:`repro.interchange`), content-addressed and cached exactly
         like a C translation unit's constraints — the resulting artifact
         feeds :meth:`link` and :meth:`solve` unchanged.
         """
+        artifact = self._recall("import", src)
+        if artifact is not None:
+            return artifact
         key = _key("import", src.digest)
         if self.cache is not None:
             hit = self.cache.load_stage("import", key, _decode_program)
             if hit is not None:
                 self._bump("import", "hits")
                 program, digest = hit
-                return ConstraintsArtifact(
-                    src.name, key, program, digest, from_cache=True
+                return self._remember(
+                    ConstraintsArtifact(
+                        src, key, program, digest, from_cache=True
+                    )
                 )
             self._bump("import", "misses")
         from ..interchange import parse_constraint_text
 
-        with self._timed("import"):
+        with _attributed(src), self._timed("import"):
             program = parse_constraint_text(src.text, src.name)
         self._bump("import", "runs")
-        artifact = ConstraintsArtifact(src.name, key, program)
+        artifact = ConstraintsArtifact(src, key, program)
         if self.cache is not None:
             self.cache.store_stage(
                 "import",
@@ -397,7 +455,33 @@ class Pipeline:
                     "digest": artifact.program_digest,
                 },
             )
-        return artifact
+        return self._remember(artifact)
+
+    def bind(
+        self,
+        member: ConstraintsArtifact,
+        solution: Solution,
+        mapping: Sequence[int],
+    ) -> PointsToResult:
+        """One C member's IR-level view of ``solution``, through the
+        linker's member→joint ``mapping``.
+
+        Reads the IR maps kept on ``member``.  A member without them (a
+        disk-cache hit or a restored member) is lowered and built once
+        more, and the rebuilt program must be the one that was linked;
+        the maps then stay on the artifact for every later binding.
+        """
+        built = member.built
+        if built is None:
+            built = self._build(member.source)
+            if built.program.digest() != member.program_digest:
+                raise RuntimeError(
+                    "non-deterministic constraint build for member"
+                    f" {member.name!r}"
+                )
+            # Two readers racing here build and store equal values.
+            member.built = built
+        return PointsToResult(built, solution, mapping)
 
     def link(
         self,

@@ -10,18 +10,18 @@ generation counter.
 
 Incrementality is *stage-granular* and content-addressed, not
 diff-based: :meth:`Project.update` replaces whole members, and the
-(name, content-digest) memos of the pipeline plus the project's own
-member table guarantee that re-parsing/lowering/constraint-building
-happens for exactly the edited members — the others replay their
-existing :class:`~repro.pipeline.ConstraintsArtifact` (or their
-``stages/`` disk-cache entry in a fresh process).  Linking re-runs on
+pipeline's (name, content-digest) member memo guarantees that
+re-parsing/lowering/constraint-building happens for exactly the edited
+members — the others replay their existing
+:class:`~repro.pipeline.ConstraintsArtifact` (or their ``stages/``
+disk-cache entry in a fresh process).  Linking re-runs on
 the joint program.  Solving is cached by content too, and otherwise
 starts from the previous generation's fixpoint whenever the new joint
 program contains the previous one (:func:`repro.link.contain`): an edit
 that only adds constraints costs what it adds.  Every other solve is
 cold, and :meth:`Project.solve_counts` says which path each took.  Each
-commit prunes those in-memory memos to the committed members, so they
-hold one entry per member however many edits a session serves.
+commit prunes the member memo to the committed members, so it holds one
+entry per member however many edits a session serves.
 
 Rebuilds are transactional: a frontend or link error during
 ``open``/``update`` leaves the project serving its previous generation
@@ -35,12 +35,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.config import Configuration, supports_warm_start
-from ..analysis.frontend import SummaryFn, build_constraints
 from ..analysis.solution import Solution
 from ..analysis.solvers.base import Fixpoint, FixpointCarry, WarmStart
 from ..analysis.api import DEFAULT_CONFIGURATION, PointsToResult
 from ..driver.cache import ResultCache
-from ..frontend import FRONTEND_ERRORS
 from ..link import LinkedProgram, LinkOptions, contain
 from ..obs import NULL_REGISTRY, Registry
 from ..pipeline import ConstraintsArtifact, Pipeline, SourceArtifact
@@ -55,8 +53,8 @@ class Snapshot:
     Queries answered against a snapshot are stable: a concurrent
     ``update`` produces a *new* snapshot and never mutates this one.
     Member bindings (and the name→variable index) are derived lazily and
-    memoised on the snapshot, so pure solution-level sessions never
-    touch the frontend.
+    memoised on the snapshot; a binding reads the IR maps its member's
+    artifact keeps (:meth:`~repro.pipeline.Pipeline.bind`).
     """
 
     generation: int
@@ -67,7 +65,6 @@ class Snapshot:
     linked: LinkedProgram
     solution: Solution
     _pipeline: Pipeline
-    _summaries: Optional[Dict[str, SummaryFn]] = None
     #: the solve's fixpoint beyond the solution, for the next update's
     #: warm start; never cached or persisted
     _fixpoint: Optional[Fixpoint] = None
@@ -82,33 +79,24 @@ class Snapshot:
     def member_names(self) -> List[str]:
         return [src.name for src in self.sources]
 
-    def source(self, name: str) -> SourceArtifact:
-        for src in self.sources:
-            if src.name == name:
-                return src
+    def member(self, name: str) -> ConstraintsArtifact:
+        for member in self.members:
+            if member.name == name:
+                return member
         raise KeyError(name)
 
     def binding(self, name: str) -> PointsToResult:
         """The (lazily built) value-level view of one member: its
-        re-derived :class:`~repro.analysis.frontend.ModuleConstraints`
-        (deterministic from the memoised module) bound to the joint
-        solution through the linker's member→joint map."""
+        :class:`~repro.analysis.frontend.ModuleConstraints` bound to the
+        joint solution through the linker's member→joint map."""
         with self._lock:
             binding = self._bindings.get(name)
-            if binding is not None:
-                return binding
-            src = self.source(name)  # KeyError on unknown members
-            module = self._pipeline.lower(src)
-            built = build_constraints(module, self._summaries)
-            member = next(m for m in self.members if m.name == name)
-            if built.program.digest() != member.program_digest:
-                raise RuntimeError(
-                    f"non-deterministic constraint build for member {name!r}"
+            if binding is None:
+                binding = self._bindings[name] = self._pipeline.bind(
+                    self.member(name),  # KeyError on unknown members
+                    self.solution,
+                    self.linked.var_maps[name],
                 )
-            binding = PointsToResult(
-                built, self.solution, self.linked.var_maps[name]
-            )
-            self._bindings[name] = binding
             return binding
 
     def vars_named(self, name: str) -> List[int]:
@@ -174,25 +162,14 @@ class Project:
         config: Optional[Configuration] = None,
         options: Optional[LinkOptions] = None,
         cache: Optional[ResultCache] = None,
-        summaries: Optional[Dict[str, SummaryFn]] = None,
-        summaries_tag: str = "default",
         registry: Optional[Registry] = None,
     ) -> None:
         self.config = config if config is not None else DEFAULT_CONFIGURATION
         self.options = options if options is not None else LinkOptions()
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self.pipeline = Pipeline(
-            cache=cache,
-            summaries=summaries,
-            summaries_tag=summaries_tag,
-            registry=self.registry,
-        )
-        self._summaries = summaries
+        self.pipeline = Pipeline(cache=cache, registry=self.registry)
         self.generation = 0
         self._sources: Dict[str, SourceArtifact] = {}
-        #: (name, digest) → ConstraintsArtifact; the member-level memo
-        #: that makes an N−1-unchanged update skip N−1 constraint builds
-        self._member_memo: Dict[Tuple[str, str], ConstraintsArtifact] = {}
         self._snapshot: Optional[Snapshot] = None
         #: serializes rebuilds: one writer builds generation G+1 while
         #: readers keep answering against the immutable snapshot G (the
@@ -277,15 +254,14 @@ class Project:
 
         The snapshot-persistence layer (:mod:`repro.serve.state`) calls
         this with fully validated artifacts: the project starts serving
-        ``generation`` immediately, and the member memo is seeded so the
-        first ``update`` is as incremental as it would have been in the
-        original process.
+        ``generation`` immediately, and the pipeline memoises the
+        members so the first ``update`` is as incremental as it would
+        have been in the original process.
         """
         with self._write_lock:
             self.generation = generation
             self._sources = {src.name: src for src in sources}
-            for src, member in zip(sources, members):
-                self._member_memo[(src.name, src.digest)] = member
+            self.pipeline.adopt(members)
             self._snapshot = Snapshot(
                 generation=generation,
                 config=self.config,
@@ -295,7 +271,6 @@ class Project:
                 linked=linked,
                 solution=solution,
                 _pipeline=self.pipeline,
-                _summaries=self._summaries,
             )
             self._retain_committed()
             return self._snapshot
@@ -303,30 +278,13 @@ class Project:
     # ------------------------------------------------------------------
 
     def _retain_committed(self) -> None:
-        """Prune the member and lower memos to the committed snapshot's
-        members (under the write lock, which guards the member memo),
-        so served edits do not pile up old modules and constraint
-        programs.  A reader still holding an older snapshot lowers an
-        evicted member again on demand."""
-        keys = {(src.name, src.digest) for src in self._snapshot.sources}
-        for key in [key for key in self._member_memo if key not in keys]:
-            del self._member_memo[key]
-        self.pipeline.retain(keys)
-
-    def _member(self, src: SourceArtifact) -> ConstraintsArtifact:
-        key = (src.name, src.digest)
-        member = self._member_memo.get(key)
-        if member is None:
-            try:
-                member = self.pipeline.constraints(src)
-            except FRONTEND_ERRORS as exc:
-                # Attribute the failure to its member for file:line
-                # diagnostics (the parser/sema only know line numbers).
-                if getattr(exc, "source_name", None) is None:
-                    exc.source_name = src.name
-                raise
-            self._member_memo[key] = member
-        return member
+        """Prune the pipeline's member memo to the committed snapshot's
+        members, so served edits do not pile up old modules and
+        constraint programs.  A reader still holding an older snapshot
+        holds its members' artifacts, maps included."""
+        self.pipeline.retain(
+            {(src.name, src.digest) for src in self._snapshot.sources}
+        )
 
     def _carry(
         self,
@@ -383,7 +341,7 @@ class Project:
     def _rebuild(
         self, sources: Mapping[str, SourceArtifact], opening: bool
     ) -> Snapshot:
-        members = [self._member(src) for src in sources.values()]
+        members = [self.pipeline.constraints(src) for src in sources.values()]
         link_art = self.pipeline.link(members, self.options)
         linked = link_art.linked
         carry, reason = self._carry(opening, members, linked)
@@ -402,7 +360,6 @@ class Project:
             linked=linked,
             solution=solution,
             _pipeline=self.pipeline,
-            _summaries=self._summaries,
             _fixpoint=carry.fixpoint if carry is not None else None,
         )
         return self._snapshot

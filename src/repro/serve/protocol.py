@@ -184,10 +184,17 @@ def parse_request(
     Raises :class:`ProtocolError` carrying the salvaged request id (when
     one could be recovered) so the caller can still address its error
     response.  The size limit is enforced on the UTF-8 byte length and
-    checked before any JSON work.  Schema-1 requests are accepted and
-    normalised to the default project.
+    checked before any JSON work.  A line that has no UTF-8 encoding
+    (the lone surrogates a ``surrogateescape`` reader makes of bytes
+    that are not UTF-8) is an ``invalid_request``.  Schema-1 requests
+    are accepted and normalised to the default project.
     """
-    size = len(line.encode("utf-8"))
+    try:
+        size = len(line.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise ProtocolError(
+            "invalid_request", f"request is not UTF-8: {exc.reason}"
+        ) from None
     if size > max_bytes:
         raise ProtocolError(
             "request_too_large",

@@ -655,7 +655,11 @@ def serve_stdio(
     is a graceful shutdown too.  stdio is inherently one ordered
     stream, so this transport is sequential regardless of ``workers``.
     """
-    stdin = stdin if stdin is not None else sys.stdin
+    if stdin is None:
+        stdin = sys.stdin
+        # Bytes that are not UTF-8 become lone surrogates, which
+        # parse_request answers as invalid_request, instead of raising.
+        stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     stdout = stdout if stdout is not None else sys.stdout
     try:
         for line in stdin:
@@ -674,9 +678,16 @@ def serve_stdio(
 
 
 def _serve_connection(server: AnalysisServer, conn: socket.socket) -> None:
-    """One TCP connection's request loop (fleet mode, own thread)."""
+    """One TCP connection's request loop.
+
+    Reads with ``surrogateescape``, so bytes that are not UTF-8 reach
+    :meth:`AnalysisServer.handle_line` (which answers them) instead of
+    raising here.
+    """
     with conn:
-        rfile = conn.makefile("r", encoding="utf-8", newline="\n")
+        rfile = conn.makefile(
+            "r", encoding="utf-8", errors="surrogateescape", newline="\n"
+        )
         wfile = conn.makefile("w", encoding="utf-8", newline="\n")
         try:
             for line in rfile:
@@ -722,25 +733,8 @@ def serve_tcp(
                 conn, _ = sock.accept()
             except socket.timeout:
                 continue
-            except KeyboardInterrupt:
-                break
             if server.workers <= 1:
-                with conn:
-                    rfile = conn.makefile("r", encoding="utf-8", newline="\n")
-                    wfile = conn.makefile("w", encoding="utf-8", newline="\n")
-                    try:
-                        for line in rfile:
-                            if not line.strip():
-                                continue
-                            wfile.write(server.handle_line(line.rstrip("\n")))
-                            wfile.write("\n")
-                            wfile.flush()
-                            if server.closing:
-                                break
-                    except (BrokenPipeError, ConnectionResetError):
-                        continue  # client went away; keep serving
-                    except KeyboardInterrupt:
-                        break
+                _serve_connection(server, conn)
             else:
                 thread = threading.Thread(
                     target=_serve_connection,
@@ -751,6 +745,8 @@ def serve_tcp(
                 thread.start()
                 threads.append(thread)
                 threads = [t for t in threads if t.is_alive()]
+    except KeyboardInterrupt:
+        pass  # graceful: fall through to finish()
     finally:
         sock.close()
         deadline = time.monotonic() + 5.0

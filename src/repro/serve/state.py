@@ -8,8 +8,8 @@ solution, and the configuration/link options that produced them.  A
 restarted ``repro serve --state-dir DIR`` *warm-starts*: it restores
 every persisted project and answers queries at the persisted generation
 immediately, while ``update`` stays exactly as incremental as it was in
-the original process (the member memo is re-seeded from the persisted
-constraint programs).
+the original process (the pipeline's member memo is re-seeded from the
+persisted constraint programs).
 
 Integrity is defence-in-depth, validated on every load:
 
@@ -41,8 +41,7 @@ from ..analysis.solution import Solution
 from ..driver.cache import ResultCache
 from ..link import LinkedProgram, LinkOptions
 from ..obs import Registry
-from ..pipeline import ConstraintsArtifact, SourceArtifact
-from ..pipeline.stages import _key as stage_key
+from ..pipeline import ConstraintsArtifact, SourceArtifact, constraints_key
 from .project import Project
 from .protocol import valid_project_id
 
@@ -227,12 +226,8 @@ def load_project(
             program = ConstraintProgram.from_dict(entry["program"])
             members.append(
                 ConstraintsArtifact(
-                    name=src.name,
-                    key=stage_key(
-                        "constraints",
-                        src.digest,
-                        project.pipeline.summaries_tag,
-                    ),
+                    source=src,
+                    key=constraints_key(src.digest),
                     program=program,
                     program_digest=entry["program_digest"],
                     from_cache=True,

@@ -33,7 +33,6 @@ def build_context(files, config=None, cache=None, registry=None):
     sources = [
         pipeline.source(name, text) for name, text in files.items()
     ]
-    ir_sources = [s for s in sources if not s.name.endswith(".lir")]
     members = [
         pipeline.constraints_from_text(s)
         if s.name.endswith(".lir")
@@ -43,7 +42,8 @@ def build_context(files, config=None, cache=None, registry=None):
     linked = pipeline.link(members, LinkOptions()).linked
     configuration = config if config is not None else DEFAULT_CONFIGURATION
     solution = pipeline.solve(linked.program, configuration).solution
-    context = build_audit_context(pipeline, ir_sources, linked, solution)
+    ir_members = [m for m in members if not m.name.endswith(".lir")]
+    context = build_audit_context(pipeline, ir_members, linked, solution)
     return pipeline, context, solution
 
 

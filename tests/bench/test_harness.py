@@ -2,25 +2,25 @@
 
 import pytest
 
-from repro.bench import (
-    QUANTILE_COLUMNS,
-    RunResults,
-    build_corpus,
-    distribution,
+from repro.bench.report import (
     figure9,
     figure10,
-    flatten,
     headline_claims,
     measure_precision,
-    quantile,
     render_headlines,
     render_ratio_series,
-    run_experiment,
     table3,
     table5,
     table6,
 )
-from repro.bench.runner import FileRun, TABLE6_CONFIGS
+from repro.bench.runner import (
+    TABLE6_CONFIGS,
+    FileRun,
+    RunResults,
+    run_experiment,
+)
+from repro.bench.suite import build_corpus, flatten
+from repro.bench.timing import QUANTILE_COLUMNS, distribution, quantile
 
 
 class TestStats:

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.bench import RunResults, render_table
-from repro.bench.runner import FileRun
-from repro.bench.report import RatioSeries, best_no_pip_config, render_ratio_series
+from repro.bench.report import (
+    RatioSeries,
+    best_no_pip_config,
+    render_ratio_series,
+    render_table,
+)
+from repro.bench.runner import FileRun, RunResults
 
 
 def make_results():

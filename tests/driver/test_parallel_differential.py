@@ -12,7 +12,8 @@ across processes.
 
 import pytest
 
-from repro.bench import build_corpus, flatten, run_experiment
+from repro.bench.runner import run_experiment
+from repro.bench.suite import build_corpus, flatten
 from repro.driver import ResultCache
 
 CONFIGS = [
@@ -70,7 +71,7 @@ class TestParallelEqualsSerial:
         bitset = run_experiment(
             corpus_files, BITSET_CONFIGS, repetitions=1, timing="cost"
         )
-        from repro.bench import RunResults
+        from repro.bench.runner import RunResults
 
         set_results = RunResults.from_json(serial_json)
         assert {
@@ -79,7 +80,7 @@ class TestParallelEqualsSerial:
         } == set_results.pointees
 
     def test_record_order_is_file_major(self, corpus_files, serial_json):
-        from repro.bench import RunResults
+        from repro.bench.runner import RunResults
 
         results = RunResults.from_json(serial_json)
         expected = [

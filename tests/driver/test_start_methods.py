@@ -7,8 +7,8 @@ import multiprocessing
 
 import pytest
 
-from repro.bench import build_corpus, flatten
 from repro.bench.runner import build_tasks
+from repro.bench.suite import build_corpus, flatten
 from repro.driver import solve_tasks
 from repro.driver.pool import _pool_context
 

@@ -142,6 +142,28 @@ class TestConstraintsSolve:
             )
         ) == base
 
+    def test_each_distinct_file_solves_once(
+        self, tu_pair, tmp_path, capsys, monkeypatch
+    ):
+        import repro.driver.tasks as tasks
+
+        files = []
+        for path in tu_pair:
+            lir = tmp_path / (pathlib.Path(path).stem + ".lir")
+            assert main(["constraints", "export", path, "--out", str(lir)]) == 0
+            files.append(str(lir))
+        capsys.readouterr()
+        calls = []
+        solve_prepared = tasks.solve_prepared
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_prepared(*args, **kwargs)
+
+        monkeypatch.setattr(tasks, "solve_prepared", counted)
+        self.solve([*files, files[0]], capsys)
+        assert len(calls) == 2
+
     def test_show_solution(self, tu_pair, tmp_path, capsys):
         lir = tmp_path / "m.lir"
         assert main(

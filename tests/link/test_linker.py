@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis import OMEGA, parse_name
+from repro.analysis import OMEGA, build_constraints, parse_name
 from repro.analysis.config import prepare_program, solve_prepared
+from repro.frontend import compile_c
 from repro.link import LinkError, LinkOptions, link_programs
 from repro.pipeline import Pipeline
 
@@ -166,14 +167,14 @@ class TestDeEscape:
         # escape), so defining atexit later must NOT un-escape it.
         from repro.analysis.summaries import LIBC_SUMMARIES
 
-        pipeline = Pipeline(summaries=LIBC_SUMMARIES, summaries_tag="libc")
-        a = pipeline.constraints(
-            pipeline.source(
-                "a.c",
+        a = build_constraints(
+            compile_c(
                 "extern int atexit(void (*fn)(void));\n"
                 "void cleanup(void) {}\n"
                 "void setup(void) { atexit(cleanup); }\n",
-            )
+                "a.c",
+            ),
+            LIBC_SUMMARIES,
         ).program
         b = program_of("b.c", "int atexit(void (*fn)(void)) { return 0; }\n")
         linked = link_programs(

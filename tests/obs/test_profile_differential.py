@@ -11,8 +11,8 @@ import io
 
 import pytest
 
-from repro.bench import build_corpus, flatten, run_experiment
-from repro.bench.runner import build_contexts, build_tasks
+from repro.bench.runner import build_contexts, build_tasks, run_experiment
+from repro.bench.suite import build_corpus, flatten
 from repro.driver import ResultCache, solve_tasks
 from repro.obs import Registry, TraceWriter, validate_trace_text
 

@@ -13,7 +13,8 @@ import io
 
 import pytest
 
-from repro.bench import build_corpus, flatten, run_experiment
+from repro.bench.runner import run_experiment
+from repro.bench.suite import build_corpus, flatten
 from repro.driver import ResultCache
 from repro.obs import Registry, TraceWriter, validate_trace_text
 

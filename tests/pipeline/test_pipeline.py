@@ -115,11 +115,48 @@ class TestStageCaching:
     def test_in_memory_memo(self):
         pipeline = Pipeline()
         src = pipeline.source("a.c", SRC_A)
-        pipeline.lower(src)
-        pipeline.lower(src)
+        first = pipeline.constraints(src)
+        assert pipeline.constraints(pipeline.source("a.c", SRC_A)) is first
         assert pipeline.stats["parse"].runs == 1
         assert pipeline.stats["lower"].runs == 1
-        assert pipeline.stats["lower"].memo_hits == 1
+        assert pipeline.stats["constraints"].runs == 1
+        assert pipeline.stats["constraints"].memo_hits == 1
+        assert pipeline.stats["lower"].memo_hits == 0
+        # The memo keeps the IR maps the build made with the program.
+        assert first.built.program is first.program
+        # A different name is a different member.
+        b = pipeline.source("b.c", SRC_A)
+        assert pipeline.constraints(b) is not first
+        assert pipeline.stats["constraints"].runs == 2
+        # retain keeps the listed members and drops the others.
+        pipeline.retain({(src.name, src.digest)})
+        assert pipeline.constraints(src) is first
+        pipeline.constraints(b)
+        assert pipeline.stats["constraints"].runs == 3
+        assert pipeline.stats["constraints"].memo_hits == 2
+
+    def test_import_shares_the_memo(self):
+        from repro.interchange import export_constraint_text
+
+        pipeline = Pipeline()
+        text = export_constraint_text(
+            pipeline.constraints(pipeline.source("a.c", SRC_A)).program
+        )
+        src = pipeline.source("a.lir", text)
+        first = pipeline.constraints_from_text(src)
+        assert pipeline.constraints_from_text(src) is first
+        assert first.built is None
+        assert pipeline.stats["import"].runs == 1
+        assert pipeline.stats["import"].memo_hits == 1
+
+    def test_constraints_key_is_pinned(self):
+        """The stage key of a C source; cache entries written by every
+        earlier version keep it."""
+        pipeline = Pipeline()
+        art = pipeline.constraints(pipeline.source("a.c", SRC_A))
+        assert art.key == (
+            "c7e13fe14d4bcc172273af2a39c7312cd6f2afbbec8dfe90df3d62afc66f3d05"
+        )
 
     def test_corrupted_stage_entry_self_heals(self, cache):
         p1 = Pipeline(cache=cache)
@@ -156,26 +193,6 @@ class TestStageCaching:
         b_warm = p2.constraints(p2.source("b.c", src))
         assert b_warm.from_cache
         assert b_warm.program.name == "b.c"
-
-    def test_custom_summaries_require_distinct_tag(self):
-        with pytest.raises(ValueError):
-            Pipeline(summaries={})
-        Pipeline(summaries={}, summaries_tag="empty")  # fine
-
-    def test_summaries_tag_partitions_cache(self, cache):
-        from repro.analysis.summaries import LIBC_SUMMARIES
-
-        src = "extern char *getenv(const char *n);\nchar *e;\nvoid f(void) { e = getenv(\"H\"); }\n"
-        p1 = Pipeline(cache=cache)
-        default_art = p1.constraints(p1.source("g.c", src))
-        p2 = Pipeline(
-            cache=ResultCache(cache.root),
-            summaries=LIBC_SUMMARIES,
-            summaries_tag="libc",
-        )
-        libc_art = p2.constraints(p2.source("g.c", src))
-        assert not libc_art.from_cache
-        assert libc_art.key != default_art.key
 
 
 class TestSerialization:

@@ -87,10 +87,14 @@ class TestIncrementalUpdate:
         project.open({"a.c": A, "b.c": B, "c.c": C})
         before = stage_runs(project)
         assert before["parse"] == 3 and before["constraints"] == 3
+        memo_hits = lambda: project.stage_report()["constraints"]["memo_hits"]
+        hits = memo_hits()
 
         project.update({"b.c": B + "\nint z;\n"})
 
         after = stage_runs(project)
+        # The two members the edit left alone are member-memo hits.
+        assert memo_hits() - hits == 2
         # The acceptance criterion: exactly the one edited member went
         # back through parse/lower/constraints; link and solve re-ran
         # once on the joint program.
@@ -162,12 +166,12 @@ def alias_answers(binding):
     return answers
 
 
-def memo_sizes(project):
-    return len(project._member_memo), len(project.pipeline._modules)
+def memo_size(project):
+    return len(project.pipeline._members)
 
 
 class TestMemosStayBounded:
-    """Each commit prunes the member and lower memos to the committed
+    """Each commit prunes the pipeline's member memo to the committed
     snapshot's members."""
 
     def test_edits_keep_every_memo_at_member_count(self):
@@ -177,40 +181,42 @@ class TestMemosStayBounded:
         assert {"NoAlias", "MayAlias"} <= {r for _, r in before}
         # Same members, a later generation that has not bound a.c yet.
         twin = project.update({})
-        assert memo_sizes(project) == (4, 4)
+        assert memo_size(project) == 4
         for i in range(50):
             project.update({"a.c": A + f"\nint edit{i};\n"})
-            assert memo_sizes(project) == (4, 4)
+            assert memo_size(project) == 4
         # Readers holding an old snapshot still answer as before.
         assert alias_answers(old.binding("a.c")) == before
-        # a.c's original module was evicted: the twin lowers it again.
+        # a.c's original artifact left the memo, but the twin holds it,
+        # IR maps included: binding it lowers nothing.
         runs = registry.counter("pipeline.lower.runs")
         assert alias_answers(twin.binding("a.c")) == before
-        assert registry.counter("pipeline.lower.runs") == runs + 1
+        assert registry.counter("pipeline.lower.runs") == runs
 
     def test_restore_and_reopen_prune(self):
         project, _ = fresh_project()
         first = project.open({"a.c": A, "b.c": B, "c.c": C})
         project.open({"a.c": A, "d.c": D})
-        assert memo_sizes(project) == (2, 2)
+        assert memo_size(project) == 2
         project.restore(
             first.sources, first.members, first.linked, first.solution, 9
         )
-        assert memo_sizes(project) == (3, 1)  # only a.c was lowered
+        assert memo_size(project) == 3
 
     def test_readers_relower_while_the_writer_prunes(self):
-        """Readers lowering an evicted member race the writer's pruning
-        commits; the memos stay consistent and bounded."""
+        """Readers lowering and building an evicted member race the
+        writer's pruning commits; the memo stays consistent and
+        bounded."""
         project, _ = fresh_project()
         old = project.open({"a.c": A, "b.c": B, "c.c": C, "d.c": D})
-        evicted = old.source("a.c")
+        evicted = old.member("a.c").source
         errors, stop = [], threading.Event()
 
         def reader():
             try:
                 while not stop.is_set():
-                    module = project.pipeline.lower(evicted)
-                    assert module.name == "a.c"
+                    member = project.pipeline.constraints(evicted)
+                    assert member.name == "a.c"
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
@@ -230,7 +236,7 @@ class TestMemosStayBounded:
         assert not any(thread.is_alive() for thread in readers)
         assert errors == []
         project.update({})
-        assert memo_sizes(project) == (4, 4)
+        assert memo_size(project) == 4
 
     def test_failed_rebuild_prunes_nothing(self):
         project, _ = fresh_project()
@@ -238,9 +244,9 @@ class TestMemosStayBounded:
         with pytest.raises(LinkError):
             project.update({"dup.c": "int x;\n"})  # x already defined
         # The failed build's member stays memoised until the next commit.
-        assert memo_sizes(project) == (3, 3)
+        assert memo_size(project) == 3
         project.update({})
-        assert memo_sizes(project) == (2, 2)
+        assert memo_size(project) == 2
 
 
 class TestTransactionality:

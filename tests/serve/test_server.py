@@ -381,13 +381,15 @@ class TestStdioTransport:
         assert len(responses) == 1 and responses[0]["ok"]
 
     def test_hostile_stream_answers_everything(self):
+        # "\udcff\udcfe" is what a surrogateescape reader makes of the
+        # bytes ff fe, which are not UTF-8.
         responses = self.run_session([
-            "garbage", "[]", '{"schema":1}', "x" * 300,
+            "garbage", "[]", '{"schema":1}', "x" * 300, "\udcff\udcfe",
         ], max_request_bytes=128)
         codes = [r["error"]["code"] for r in responses]
         assert codes == [
             "parse_error", "invalid_request", "invalid_request",
-            "request_too_large",
+            "request_too_large", "invalid_request",
         ]
 
 
@@ -416,5 +418,37 @@ class TestTcpTransport:
                 client.call("points_to", {"var": "missing"})
             assert exc.value.code == "invalid_params"
             assert client.shutdown() == {"closing": True}
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_utf8_line_is_answered_and_the_server_stays_up(
+        self, workers
+    ):
+        import socket
+
+        server, _ = make_server(workers=workers)
+        bound = {}
+        ready = threading.Event()
+
+        def on_ready(host, port):
+            bound["addr"] = (host, port)
+            ready.set()
+
+        thread = threading.Thread(
+            target=serve_tcp, args=(server,), kwargs={"ready": on_ready},
+            daemon=True,
+        )
+        thread.start()
+        assert ready.wait(10)
+        with socket.create_connection(bound["addr"], timeout=30) as conn:
+            conn.sendall(b"\xff\xfe\n")
+            with conn.makefile("rb") as reader:
+                line = reader.readline()
+        response = validate_response(json.loads(line))
+        assert response["error"]["code"] == "invalid_request"
+        with ServeClient.connect_tcp(*bound["addr"]) as client:
+            assert client.call("ping") == {"pong": True}
+            client.shutdown()
         thread.join(timeout=10)
         assert not thread.is_alive()

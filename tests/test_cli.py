@@ -309,6 +309,8 @@ class TestOneSpelling:
             (["run"], ["--ladder", "2"]),
             (["run"], ["--ladder-size", "10"]),
             (["run"], ["--ladder-out", "ladder.json"]),
+            (["serve"], ["--memo-entries=4"]),
+            (["query", "{c}", "-q", "ping"], ["--memo-entries=4"]),
         ],
         ids=lambda arg: "-".join(
             a.lstrip("-") for a in arg if not a.startswith("{")
@@ -483,25 +485,27 @@ class TestServeQueryCLI:
              "params": {"var": "get.ret"}},
             {"schema": 1, "id": 4, "method": "shutdown", "params": {}},
         ]
-        stdin = "not even json\n" + "".join(
+        # A line that is not UTF-8 first, then one that is not JSON.
+        stdin = b"\xff\xfe\n" + b"not even json\n" + "".join(
             json.dumps(r) + "\n" for r in requests
-        )
+        ).encode("utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "serve", "--stdio",
              "--trace-out", str(trace_path)],
-            input=stdin, capture_output=True, text=True, timeout=120,
+            input=stdin, capture_output=True, timeout=120,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0, proc.stderr.decode()
         responses = [
             validate_response(json.loads(line))
-            for line in proc.stdout.splitlines()
+            for line in proc.stdout.decode("utf-8").splitlines()
         ]
-        assert [r.get("id") for r in responses] == [None, 1, 2, 3, 4]
-        assert responses[0]["error"]["code"] == "parse_error"
-        assert all(r["ok"] for r in responses[1:])
+        assert [r.get("id") for r in responses] == [None, None, 1, 2, 3, 4]
+        assert responses[0]["error"]["code"] == "invalid_request"
+        assert responses[1]["error"]["code"] == "parse_error"
+        assert all(r["ok"] for r in responses[2:])
         events = read_trace(trace_path, events=["serve"])
         assert [e["name"] for e in events] == [
-            "<invalid>", "ping", "open", "points_to", "shutdown"
+            "<invalid>", "<invalid>", "ping", "open", "points_to", "shutdown"
         ]
 
     def test_serve_tcp_restarts_from_state_dir(self, tmp_path):
