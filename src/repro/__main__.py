@@ -60,6 +60,7 @@ one-line ``file:line: message`` diagnostic instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import pathlib
@@ -182,29 +183,42 @@ def _print_points_to(solution, var_names) -> None:
             print(f"  Sol({var_names[p]}) = {{{', '.join(names)}}}")
 
 
+def _check_out(path: Optional[pathlib.Path]) -> None:
+    """Refuse an ``--out`` in a missing directory before any analysis
+    runs, rather than after all of it."""
+    if path is not None and not path.parent.is_dir():
+        raise FileNotFoundError(
+            errno.ENOENT, os.strerror(errno.ENOENT), str(path)
+        )
+
+
 def _write_text_atomic(path: pathlib.Path, text: str) -> None:
     """Write ``text`` to ``path`` without ever exposing a partial file.
 
     Same-directory temp file + ``os.replace`` (the ResultCache idiom):
     a failure mid-write — full disk, permissions — leaves nothing under
     the requested name, and the temp file is unlinked on the way out.
+    An OSError names ``path``, never the temp file.
     """
-    import os
     import tempfile
 
     path = pathlib.Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-    )
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
+        )
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -352,6 +366,7 @@ def cmd_link(args) -> int:
     from .link import LinkError
     from .pipeline import Pipeline
 
+    _check_out(args.out)
     config = args.config
     options = _link_options(args)
     cache = _result_cache(args)
@@ -456,6 +471,7 @@ def cmd_audit(args) -> int:
     from .link import LinkError
     from .pipeline import Pipeline
 
+    _check_out(args.out)
     config = args.config
     options = _link_options(args)
     cache = _result_cache(args)
@@ -534,6 +550,7 @@ def cmd_constraints_export(args) -> int:
     from .link import LinkError
     from .pipeline import Pipeline
 
+    _check_out(args.out)
     cache = _result_cache(args)
     registry, trace = _obs_setup(args)
     pipeline = Pipeline(cache=cache, registry=registry)
@@ -572,6 +589,7 @@ def cmd_constraints_solve(args) -> int:
     from .driver import FileContext, SolveTask, solve_tasks, source_digest
     from .interchange import parse_constraint_text
 
+    _check_out(args.out)
     config = args.config
     tasks = []
     contexts = {}

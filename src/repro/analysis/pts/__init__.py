@@ -8,12 +8,20 @@ small set-like value contract and a :class:`PTSBackend` factory:
   are native Python ``set[int]`` objects — zero wrapper overhead, the
   historical baseline.
 - ``bitset`` (:class:`~repro.analysis.pts.bitset.BitsetBackend`): the
-  values are :class:`~repro.analysis.pts.bitset.Bitset` wrappers around
-  Python arbitrary-precision integers.  Union, difference, intersection
-  and popcount all run as single C-speed bignum operations (union is
-  ``|``, the difference-propagation delta is ``new & ~old``, membership
-  is a bit test, cardinality is ``int.bit_count()``), which accelerates
-  exactly the propagation work that dominates Andersen solving.
+  values are :class:`~repro.analysis.pts.bitset.Bitset` wrappers with
+  two containers.  A small value keeps a Python ``set``; once it holds
+  more than ``PACK_ABOVE`` members it packs into one arbitrary-precision
+  integer for good, where union, difference, intersection and popcount
+  each run as a single C-speed bignum operation (union is ``|``, the
+  difference-propagation delta is ``new & ~old``).  Dense sets, EP's
+  above all, get the bulk operations; the tiny sets PIP keeps pay no
+  universe-wide int per operation.
+
+A value's :meth:`~repro.analysis.pts.base.PTSBackend.cache_key` may be
+None (always on ``set``, for an unpacked value on ``bitset``): equal
+keys imply equal members, but equal members need not give equal keys.
+The operation memo (:class:`OpMemo`) and extraction's freeze cache serve
+only values with a key.
 
 Both backends share identical observable semantics; the differential and
 equivalence test suites assert that every solver configuration produces

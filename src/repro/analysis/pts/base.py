@@ -85,10 +85,13 @@ class PTSBackend:
     def cache_key(self, s: Any):
         """A cheap hashable proxy for the *value* of ``s``, or ``None``.
 
-        Two sets with the same members must yield equal keys.  Solution
-        extraction uses this to freeze each distinct set once instead of
-        once per union-find representative; backends whose cheapest key
-        is the frozen set itself return ``None`` to opt out.
+        ``None`` holds per value: a backend may key some values and not
+        others (the bitset backend keys only packed ones).  Equal keys
+        imply equal members, but not the reverse: two values with the
+        same members may have different keys, or one may have none.
+        Solution extraction and :class:`~repro.analysis.pts.memo.OpMemo`
+        use the key to work once per distinct keyed value; a value whose
+        cheapest key would be its frozen members returns ``None``.
         """
         return None
 

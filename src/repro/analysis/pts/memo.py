@@ -5,16 +5,19 @@ values again and again: a node revisited with an unchanged set re-derives
 its pointer members, its Func members, its incompatible-member flag.
 :class:`OpMemo` turns those repeats into dictionary hits, keyed on the
 backend's cheap *value identity* (:meth:`PTSBackend.cache_key` — the
-packed integer for the bitset backend), so the memo never has to compare
-set contents.
+packed integer of a packed bitset value), so the memo never has to
+compare set contents.
 
 Design rules:
 
 - **Value-keyed, never object-keyed.**  Sol sets mutate in place; only a
-  backend-provided value key is a sound memo key.  Backends without one
-  (``cache_key() is None``, e.g. the plain-set backend whose native
-  operations are already cheap) bypass the memo entirely — uncounted, so
-  hit/miss counters compare across runs of the same configuration.
+  backend-provided value key is a sound memo key.  A value without one
+  (``cache_key() is None``: every plain set, and every bitset value small
+  enough to stay unpacked, whose native operations are already cheap)
+  bypasses the memo — uncounted, so hit/miss counters compare across
+  runs of the same configuration.  The memo therefore sees dense values
+  only: under IP, where PIP keeps the sets tiny, it mostly stands aside;
+  under EP it serves the sets Ω's members flow into.
 - **Deterministic counters.**  Insertion stops at ``capacity`` (no
   eviction), so for a fixed solve order the hit/miss counts are exact
   replay invariants — the obs layer asserts them identical across
@@ -36,7 +39,12 @@ _ABSENT = object()
 
 
 class OpMemo:
-    """Memoises mask-filter, intersection-test and difference results."""
+    """Memoises mask-filter, intersection-test and difference results.
+
+    A lookup whose operand has no :meth:`PTSBackend.cache_key` (None is
+    decided per value) computes the operation directly and counts
+    neither a hit nor a miss.
+    """
 
     __slots__ = ("_key_of", "_cache", "capacity", "hits", "misses")
 

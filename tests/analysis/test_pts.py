@@ -13,7 +13,7 @@ from repro.analysis.pts import (
     SetBackend,
     get_backend,
 )
-from repro.analysis.pts.bitset import _decode
+from repro.analysis.pts.bitset import PACK_ABOVE, _decode, _pack
 
 
 class TestRegistry:
@@ -84,11 +84,19 @@ class TestBitset:
     def test_decode_sparse_and_dense_paths(self):
         # Sparse: few members in a huge universe (low-bit extraction).
         sparse = {3, 40_000}
-        assert _decode(Bitset.from_iter(sparse).bits) == sorted(sparse)
+        assert _decode(_pack(sparse)) == sorted(sparse)
         # Dense: most of a small universe (bytewise decoding).
         dense = set(range(100)) - {13, 77}
-        assert _decode(Bitset.from_iter(dense).bits) == sorted(dense)
+        assert _decode(_pack(dense)) == sorted(dense)
         assert _decode(0) == []
+
+    def test_packs_past_the_rule_for_good(self):
+        b = Bitset.from_iter(range(PACK_ABOVE))
+        assert b.members == set(range(PACK_ABOVE)) and b.bits is None
+        b.add(PACK_ABOVE)
+        assert b.members is None and b.bits == (1 << PACK_ABOVE + 1) - 1
+        b -= Bitset.from_iter(range(PACK_ABOVE))
+        assert b.members is None and list(b) == [PACK_ABOVE]
 
     def test_iteration_is_sorted(self):
         rng = random.Random(3)

@@ -18,8 +18,9 @@ from repro.bench.suite import build_corpus, flatten
 from repro.driver import ResultCache
 from repro.obs import Registry, TraceWriter, validate_trace_text
 
-# bitset backend: the operation memo only engages on backends with a
-# cheap value key, so its hit/miss counters are exercised here.
+# bitset backend: the operation memo only engages on packed values; the
+# EP configuration's sets pack on this corpus (the IP ones stay small),
+# so its hit/miss counters are exercised here.
 REDUCE_CONFIGS = [
     "IP+Reduce+WL(FIFO)+PTS(bitset)",
     "IP+Reduce+WL(FIFO)+PIP+PTS(bitset)",

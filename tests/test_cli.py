@@ -409,6 +409,49 @@ class TestVersionAndDiagnostics:
         assert "undeclared_name" in err
 
 
+class TestUnwritableOut:
+    """An ``--out`` that cannot be written: exit 1, a diagnostic naming
+    the requested path (never the writer's temp file), and no file left
+    behind.  A missing directory is refused before any analysis runs;
+    a target the final rename cannot replace fails after it."""
+
+    @pytest.fixture
+    def lirfile(self, cfile, tmp_path, capsys):
+        path = tmp_path / "demo.lir"
+        assert main(["constraints", "export", cfile, "--out", str(path)]) == 0
+        capsys.readouterr()
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda c, lir, out: ["link", c, "--out", out],
+            lambda c, lir, out: ["audit", "escape", c, "--out", out],
+            lambda c, lir, out: ["constraints", "export", c, "--out", out],
+            lambda c, lir, out: ["constraints", "solve", lir, "--out", out],
+        ],
+        ids=["link", "audit", "constraints-export", "constraints-solve"],
+    )
+    def test_error_names_the_requested_path(
+        self, command, kind, cfile, lirfile, tmp_path, capsys
+    ):
+        if kind == "directory":
+            out = tmp_path / "report.json"
+            out.mkdir()  # os.replace cannot put a file over it
+        else:
+            out = tmp_path / "missing" / "report.json"
+        before = sorted(tmp_path.iterdir())
+        assert main(command(cfile, lirfile, str(out))) == 1
+        captured = capsys.readouterr()
+        assert str(out) in captured.err
+        assert ".tmp" not in captured.err
+        assert "Traceback" not in captured.err
+        assert sorted(tmp_path.iterdir()) == before
+        if kind == "missing-directory":
+            assert captured.out == ""  # refused before the analysis
+
+
 class TestServeQueryCLI:
     def test_query_single_and_json_forms(self, tu_pair, capsys):
         assert main([
