@@ -512,9 +512,7 @@ def cmd_audit(args) -> int:
     if args.include_bounded is not None:
         params["include_bounded"] = args.include_bounded
     try:
-        audit_art = pipeline.audit(
-            context, args.client, params, solution.named_canonical_digest()
-        )
+        audit_art = pipeline.audit(context, args.client, params)
     except AuditError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         if trace is not None:

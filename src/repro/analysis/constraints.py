@@ -42,6 +42,15 @@ Normalisation (paper §V-B): constraints that mix pointer-compatible and
 pointer-incompatible variables are conversions between pointers and
 integers and are rewritten into Ω flags when added, so the solvers only
 ever see well-typed constraints.
+
+Row representation: most variables have no constraint of a given kind,
+so every empty row is one shared immutable value, :data:`EMPTY_SET_ROW`
+for the set rows and :data:`EMPTY_LIST_ROW` for the list rows.  A
+writer takes the row through :func:`writable_set` or
+:func:`writable_list`, which swap in a fresh container on the row's
+first write; a writer that bypasses them raises ``AttributeError``
+instead of writing into every other variable's row.  Readers only
+iterate, test, count and subtract, so they see no difference.
 """
 
 from __future__ import annotations
@@ -49,7 +58,30 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+#: the one value of every empty set row (``base``, ``simple_out``)
+EMPTY_SET_ROW: FrozenSet[int] = frozenset()
+#: the one value of every empty list row (``load_from``, ``store_into``)
+EMPTY_LIST_ROW: Tuple[int, ...] = ()
+
+
+def writable_set(rows: List, v: int) -> Set[int]:
+    """Set row ``rows[v]``, ready to write: an empty row becomes a
+    fresh set of its own on its first write."""
+    row = rows[v]
+    if not row:
+        row = rows[v] = set()
+    return row
+
+
+def writable_list(rows: List, v: int) -> List[int]:
+    """List row ``rows[v]``, ready to write: an empty row becomes a
+    fresh list of its own on its first write."""
+    row = rows[v]
+    if not row:
+        row = rows[v] = []
+    return row
 
 
 class ProgramFormatError(ValueError):
@@ -136,7 +168,13 @@ class CallConstraint:
 
 
 class ConstraintProgram:
-    """Sets P, M and C for one translation unit (paper phase 1 output)."""
+    """Sets P, M and C for one translation unit (paper phase 1 output).
+
+    The constraint rows ``base``, ``simple_out``, ``load_from`` and
+    ``store_into`` hold :data:`EMPTY_SET_ROW` or :data:`EMPTY_LIST_ROW`
+    wherever they are empty, and a container of their own otherwise;
+    write them through :func:`writable_set` and :func:`writable_list`.
+    """
 
     def __init__(self, name: str = "program"):
         self.name = name
@@ -194,10 +232,10 @@ class ConstraintProgram:
         self.var_names.append(name)
         self.in_p.append(pointer_compatible)
         self.in_m.append(is_memory)
-        self.base.append(set())
-        self.simple_out.append(set())
-        self.load_from.append([])
-        self.store_into.append([])
+        self.base.append(EMPTY_SET_ROW)
+        self.simple_out.append(EMPTY_SET_ROW)
+        self.load_from.append(EMPTY_LIST_ROW)
+        self.store_into.append(EMPTY_LIST_ROW)
         for flags in (
             self.flag_ea,
             self.flag_pte,
@@ -240,14 +278,14 @@ class ConstraintProgram:
             # storage: the target is exposed to scalar channels.
             self.mark_externally_accessible(x)
             return
-        self.base[p].add(x)
+        writable_set(self.base, p).add(x)
 
     def add_simple(self, dst: int, src: int) -> None:
         """dst ⊇ src (a simple edge src → dst)."""
         dp, sp = self.in_p[dst], self.in_p[src]
         if dp and sp:
             if dst != src:
-                self.simple_out[src].add(dst)
+                writable_set(self.simple_out, src).add(dst)
         elif sp:  # pointer copied into an integer: pointees escape
             self.mark_pointees_escape(src)
         elif dp:  # integer copied into a pointer: unknown origin
@@ -264,7 +302,7 @@ class ConstraintProgram:
         if not self.in_p[dst]:
             self.mark_load_scalar(src)
             return
-        self.load_from[src].append(dst)
+        writable_list(self.load_from, src).append(dst)
 
     def add_store(self, dst: int, src: int) -> None:
         """*dst ⊇ src."""
@@ -277,7 +315,7 @@ class ConstraintProgram:
         if not self.in_p[src]:
             self.mark_store_scalar(dst)
             return
-        self.store_into[dst].append(src)
+        writable_list(self.store_into, dst).append(src)
 
     def add_func(
         self,
@@ -531,18 +569,19 @@ class ConstraintProgram:
         program.in_m = [bool(b) for b in data["in_m"]]
         program.base = [
             {index(f"base[{p}]", x, memory=True) for x in row}
+            or EMPTY_SET_ROW
             for p, row in enumerate(data["base"])
         ]
         program.simple_out = [
-            {index(f"simple_out[{q}]", p) for p in row}
+            {index(f"simple_out[{q}]", p) for p in row} or EMPTY_SET_ROW
             for q, row in enumerate(data["simple_out"])
         ]
         program.load_from = [
-            [index(f"load_from[{q}]", p) for p in row]
+            [index(f"load_from[{q}]", p) for p in row] or EMPTY_LIST_ROW
             for q, row in enumerate(data["load_from"])
         ]
         program.store_into = [
-            [index(f"store_into[{p}]", q) for q in row]
+            [index(f"store_into[{p}]", q) for q in row] or EMPTY_LIST_ROW
             for p, row in enumerate(data["store_into"])
         ]
         for i, row in enumerate(data["funcs"]):

@@ -31,7 +31,12 @@ from __future__ import annotations
 
 import copy
 
-from .constraints import ConstraintProgram
+from .constraints import (
+    EMPTY_SET_ROW,
+    ConstraintProgram,
+    writable_list,
+    writable_set,
+)
 
 #: token used in canonical solutions to denote "external memory" (the Ω
 #: abstract location and everything defined outside the module)
@@ -63,32 +68,34 @@ def lower_to_explicit(program: ConstraintProgram) -> ConstraintProgram:
     """
     if program.omega is not None:
         raise ValueError("program already has an explicit Ω node")
-    ep = copy.deepcopy(program)
+    # Empty rows stay the one shared value (``()`` copies to itself).
+    ep = copy.deepcopy(program, {id(EMPTY_SET_ROW): EMPTY_SET_ROW})
     ep.name = f"{program.name}+explicitΩ"
 
     omega = ep.add_var(OMEGA, pointer_compatible=True, is_memory=True)
     ep.omega = omega
-    ep.base[omega].add(omega)  # ①
-    ep.load_from[omega].append(omega)  # ②
-    ep.store_into[omega].append(omega)  # ③
+    omega_base = writable_set(ep.base, omega)
+    omega_base.add(omega)  # ①
+    writable_list(ep.load_from, omega).append(omega)  # ②
+    writable_list(ep.store_into, omega).append(omega)  # ③
     ep.flag_extcall[omega] = True  # ④
     ep.flag_extfunc[omega] = True  # ⑤
 
     for v in range(program.num_vars):
         if ep.flag_ea[v]:
-            ep.base[omega].add(v)
+            omega_base.add(v)
             ep.flag_ea[v] = False
         if ep.flag_pte[v]:
-            ep.simple_out[omega].add(v)
+            writable_set(ep.simple_out, omega).add(v)
             ep.flag_pte[v] = False
         if ep.flag_pe[v]:
-            ep.simple_out[v].add(omega)
+            writable_set(ep.simple_out, v).add(omega)
             ep.flag_pe[v] = False
         if ep.flag_sscalar[v]:
-            ep.store_into[v].append(omega)
+            writable_list(ep.store_into, v).append(omega)
             ep.flag_sscalar[v] = False
         if ep.flag_lscalar[v]:
-            ep.load_from[v].append(omega)
+            writable_list(ep.load_from, v).append(omega)
             ep.flag_lscalar[v] = False
         if ep.flag_impfunc[v]:
             ep.flag_extfunc[v] = True

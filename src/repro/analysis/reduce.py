@@ -50,9 +50,16 @@ from __future__ import annotations
 import dataclasses
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .constraints import ConstraintProgram
+from .constraints import (
+    EMPTY_LIST_ROW,
+    EMPTY_SET_ROW,
+    ConstraintProgram,
+    writable_list,
+    writable_set,
+)
 from .omega import OMEGA
 from .solvers.cycles import strongly_connected_components
 from .unionfind import UnionFind
@@ -280,10 +287,10 @@ def _rewrite(program: ConstraintProgram, rep: Sequence[int]) -> ConstraintProgra
     out.var_names = list(program.var_names)
     out.in_p = list(program.in_p)
     out.in_m = list(program.in_m)
-    out.base = [set() for _ in range(n)]
-    out.simple_out = [set() for _ in range(n)]
-    out.load_from = [[] for _ in range(n)]
-    out.store_into = [[] for _ in range(n)]
+    out.base = [EMPTY_SET_ROW] * n
+    out.simple_out = [EMPTY_SET_ROW] * n
+    out.load_from = [EMPTY_LIST_ROW] * n
+    out.store_into = [EMPTY_LIST_ROW] * n
     # Identity flags: keep per original variable.
     out.flag_ea = list(program.flag_ea)
     out.flag_impfunc = list(program.flag_impfunc)
@@ -307,21 +314,23 @@ def _rewrite(program: ConstraintProgram, rep: Sequence[int]) -> ConstraintProgra
         if program.flag_extcall[v]:
             out.flag_extcall[r] = True
 
-    for p in range(n):
-        if program.base[p]:
-            out.base[rep[p]].update(program.base[p])
-    for src in range(n):
+    rows = range(n)
+    for p in compress(rows, program.base):
+        writable_set(out.base, rep[p]).update(program.base[p])
+    for src in compress(rows, program.simple_out):
         rs = rep[src]
-        for dst in program.simple_out[src]:
-            rd = rep[dst]
-            if rs != rd:
-                out.simple_out[rs].add(rd)
-    for q in range(n):
-        rq = rep[q]
-        if program.load_from[q]:
-            out.load_from[rq].extend(rep[p] for p in program.load_from[q])
-        if program.store_into[q]:
-            out.store_into[rq].extend(rep[s] for s in program.store_into[q])
+        targets = {rep[dst] for dst in program.simple_out[src]}
+        targets.discard(rs)
+        if targets:
+            writable_set(out.simple_out, rs).update(targets)
+    for q in compress(rows, program.load_from):
+        writable_list(out.load_from, rep[q]).extend(
+            rep[p] for p in program.load_from[q]
+        )
+    for q in compress(rows, program.store_into):
+        writable_list(out.store_into, rep[q]).extend(
+            rep[s] for s in program.store_into[q]
+        )
     for lst in out.load_from:
         if len(lst) > 1:
             lst[:] = dict.fromkeys(lst)
@@ -376,15 +385,21 @@ def _compact(
     out.var_names = [reduced.var_names[o] for o in new2old]
     out.in_p = [reduced.in_p[o] for o in new2old]
     out.in_m = [reduced.in_m[o] for o in new2old]
-    out.base = [{old2new[x] for x in reduced.base[o]} for o in new2old]
+    out.base = [
+        {old2new[x] for x in row} if row else EMPTY_SET_ROW
+        for row in map(reduced.base.__getitem__, new2old)
+    ]
     out.simple_out = [
-        {old2new[d] for d in reduced.simple_out[o]} for o in new2old
+        {old2new[d] for d in row} if row else EMPTY_SET_ROW
+        for row in map(reduced.simple_out.__getitem__, new2old)
     ]
     out.load_from = [
-        [old2new[p] for p in reduced.load_from[o]] for o in new2old
+        [old2new[p] for p in row] if row else EMPTY_LIST_ROW
+        for row in map(reduced.load_from.__getitem__, new2old)
     ]
     out.store_into = [
-        [old2new[s] for s in reduced.store_into[o]] for o in new2old
+        [old2new[s] for s in row] if row else EMPTY_LIST_ROW
+        for row in map(reduced.store_into.__getitem__, new2old)
     ]
     for name in (
         "flag_ea",
@@ -545,7 +560,11 @@ def _subsume_bases(reduced: ConstraintProgram) -> int:
     for i, scc in enumerate(sccs):
         for v in scc:
             scc_of[v] = i
-    original = [set(s) for s in reduced.base]
+    # Removals replace a row instead of shrinking it in place, so the
+    # rows listed here stay the original bases, and a row emptied goes
+    # back to the shared empty row.
+    base = reduced.base
+    original = list(base)
     removed = 0
     for scc in sccs:
         for u in sorted(scc):
@@ -555,17 +574,17 @@ def _subsume_bases(reduced: ConstraintProgram) -> int:
             for v in sorted(reduced.simple_out[u]):
                 if scc_of[v] == scc_of[u]:
                     continue
-                inter = reduced.base[v] & bu
+                inter = base[v] & bu
                 if inter:
-                    reduced.base[v] -= inter
+                    base[v] = base[v] - inter or EMPTY_SET_ROW
                     removed += len(inter)
     if reduced.omega is None:  # IP mode: ea/pte are flags
         ea = reduced.flag_ea
         for p in range(n):
-            if reduced.flag_pte[p] and reduced.base[p]:
-                drop = {x for x in reduced.base[p] if ea[x]}
+            if reduced.flag_pte[p] and base[p]:
+                drop = {x for x in base[p] if ea[x]}
                 if drop:
-                    reduced.base[p] -= drop
+                    base[p] = base[p] - drop or EMPTY_SET_ROW
                     removed += len(drop)
     return removed
 

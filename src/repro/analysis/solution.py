@@ -215,7 +215,6 @@ class Solution:
         #: E — externally accessible memory locations (original indexes)
         self.external = external
         self.stats = stats or SolverStats()
-        self._by_name = {program.var_names[v]: v for v in points_to}
         #: stored Ω set → its expansion, filled lazily by points_to.
         #: Concurrent readers may race to fill an entry; both compute
         #: the same value.
@@ -248,8 +247,22 @@ class Solution:
         return MappingProxyType(self._points_to)
 
     def points_to_name(self, name: str) -> FrozenSet:
-        """Sol of the variable called ``name`` (convenience for tests)."""
-        return self.points_to(self._by_name[name])
+        """Sol of the one pointer called ``name`` (a convenience for tests).
+
+        Scans the pointers on every call; a solution keeps no name
+        index.  Names need not be unique (two linked units may each
+        have a ``static int *cell``), so a name that no pointer has
+        raises ``KeyError`` and one that several have raises
+        ``ValueError`` naming how many, rather than answering for one
+        of them.
+        """
+        names = self.program.var_names
+        found = [p for p in self._points_to if names[p] == name]
+        if len(found) == 1:
+            return self.points_to(found[0])
+        if not found:
+            raise KeyError(f"no pointer is named {name!r}")
+        raise ValueError(f"{len(found)} pointers are named {name!r}")
 
     def names(self, pointees: Iterable[Pointee]) -> FrozenSet:
         """Map pointee indexes to variable names (OMEGA passes through)."""

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
-from ..constraints import ConstraintProgram
+from ..constraints import (
+    EMPTY_LIST_ROW,
+    EMPTY_SET_ROW,
+    ConstraintProgram,
+    writable_list,
+    writable_set,
+)
 from ..omega import OMEGA
 from ..pts import InternTable, OpMemo, PTSBackend, get_backend
 from ..solution import Solution, SolverStats, attach_aliases
@@ -100,6 +106,15 @@ class FixpointCarry:
     warm: bool = False
 
 
+def _set_rows(rows: List) -> List[Set[int]]:
+    """A set of the state's own per non-empty program row; the shared
+    empty row elsewhere."""
+    out: List[Set[int]] = [EMPTY_SET_ROW] * len(rows)
+    for v in compress(range(len(rows)), rows):
+        out[v] = set(rows[v])
+    return out
+
+
 class ProgramMasks:
     """Backend-level membership masks derived from a constraint program.
 
@@ -126,7 +141,17 @@ class ProgramMasks:
 
 
 class SolverState:
-    """Mutable solving state over a constraint program."""
+    """Mutable solving state over a constraint program.
+
+    The rows ``succ``, ``loads``, ``stores`` and ``call_idx`` follow the
+    program's row representation (:mod:`repro.analysis.constraints`):
+    an empty row is the shared :data:`EMPTY_SET_ROW` (``call_idx``:
+    :data:`EMPTY_LIST_ROW`), a non-empty one a container of the state's
+    own, written through :func:`writable_set` and :func:`writable_list`.
+    A writer that empties a row hands it back to the shared value: a
+    union for the merged-away node's rows, :meth:`canonical_succ`,
+    :meth:`seed`, and the worklist solver's PIP addition 4.
+    """
 
     def __init__(
         self,
@@ -150,11 +175,11 @@ class SolverState:
         else:
             self.dsol = []
         self.masks = ProgramMasks(program, backend)
-        self.succ: List[Set[int]] = list(map(set, program.simple_out))
-        self.loads: List[Set[int]] = list(map(set, program.load_from))
-        self.stores: List[Set[int]] = list(map(set, program.store_into))
+        self.succ: List[Set[int]] = _set_rows(program.simple_out)
+        self.loads: List[Set[int]] = _set_rows(program.load_from)
+        self.stores: List[Set[int]] = _set_rows(program.store_into)
         # calls_on is sparse: prefill and overwrite instead of n dict gets
-        call_idx: List[List[int]] = [[] for _ in range(n)]
+        call_idx: List[List[int]] = [EMPTY_LIST_ROW] * n
         for v, idxs in program.calls_on.items():
             call_idx[v] = list(idxs)
         self.call_idx = call_idx
@@ -226,14 +251,14 @@ class SolverState:
         if self.dp:
             self.dsol[r] |= self.dsol[dead]
             self.dsol[dead] = empty()
-        self.succ[r] |= self.succ[dead]
-        self.succ[dead] = set()
-        self.loads[r] |= self.loads[dead]
-        self.loads[dead] = set()
-        self.stores[r] |= self.stores[dead]
-        self.stores[dead] = set()
-        self.call_idx[r].extend(self.call_idx[dead])
-        self.call_idx[dead] = []
+        for rows in (self.succ, self.loads, self.stores):
+            if rows[dead]:
+                writable_set(rows, r).update(rows[dead])
+            rows[dead] = EMPTY_SET_ROW
+        call_idx = self.call_idx
+        if call_idx[dead]:
+            writable_list(call_idx, r).extend(call_idx[dead])
+        call_idx[dead] = EMPTY_LIST_ROW
         for flags in (self.pte, self.pe, self.sscalar, self.lscalar, self.extcall):
             if flags[dead]:
                 flags[r] = True
@@ -260,7 +285,7 @@ class SolverState:
         if any(find(d) != d for d in raw) or n in raw:
             raw = {find(d) for d in raw}
             raw.discard(n)
-            self.succ[n] = raw
+            self.succ[n] = raw = raw or EMPTY_SET_ROW
         self._succ_epoch[n] = epoch
         return raw
 
@@ -275,7 +300,7 @@ class SolverState:
         """Insert a simple edge between representatives; True if new."""
         if src == dst or dst in self.canonical_succ(src):
             return False
-        self.succ[src].add(dst)
+        writable_set(self.succ, src).add(dst)
         self.stats.edges_added += 1
         return True
 
@@ -365,9 +390,11 @@ class SolverState:
         succ = self.succ
         for r, row in fixpoint.edges:
             a = target[r]
-            out = succ[a]
+            out = writable_set(succ, a)
             out.update(target[d] for d in row)
             out.discard(a)
+            if not out:
+                succ[a] = EMPTY_SET_ROW
 
     # ------------------------------------------------------------------
 

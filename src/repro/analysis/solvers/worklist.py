@@ -46,7 +46,12 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..constraints import CallConstraint, ConstraintProgram, FuncConstraint
+from ..constraints import (
+    EMPTY_SET_ROW,
+    CallConstraint,
+    ConstraintProgram,
+    FuncConstraint,
+)
 from ..pts import PTSBackend
 from ..solution import Solution
 from .base import Fixpoint, SolverState, WarmStart
@@ -407,7 +412,10 @@ class WorklistSolver:
         # Simple edges (TRANS / TRANSΩ, PIP addition 4).
         for p in list(st.canonical_succ(n)):
             if self.pip4 and st.pte[p] and st.pe[n]:
-                st.succ[n].discard(p)
+                row = st.succ[n]
+                row.discard(p)
+                if not row:
+                    st.succ[n] = EMPTY_SET_ROW
                 st.stats.pip_edges_elided += 1
                 continue
             self._propagate(n, p, work)

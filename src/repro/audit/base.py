@@ -59,7 +59,10 @@ class AuditContext:
 
     ``loader`` (when given) produces the IR-tier member map on first
     use — deriving member bindings re-runs the frontend, and pure
-    constraint-tier clients must never pay for it.
+    constraint-tier clients must never pay for it.  The solution's
+    named digest is likewise computed on first read of
+    :attr:`solution_digest`, once per context however many reports and
+    cache keys read it.
     """
 
     def __init__(
@@ -73,6 +76,15 @@ class AuditContext:
         self.solution = solution
         self._members = members
         self._loader = loader
+        self._solution_digest: Optional[str] = None
+
+    @property
+    def solution_digest(self) -> str:
+        """The solution's named canonical digest (computed once;
+        concurrent first readers may both compute the same value)."""
+        if self._solution_digest is None:
+            self._solution_digest = self.solution.named_canonical_digest()
+        return self._solution_digest
 
     def bindings(self) -> Dict[str, object]:
         """IR-tier member views by member name ({} when none exist)."""
@@ -219,6 +231,6 @@ def run_audit(
         client=client_name,
         params=normalized,
         program_name=context.program.name,
-        solution_digest=context.solution.named_canonical_digest(),
+        solution_digest=context.solution_digest,
         findings=tuple(findings),
     )

@@ -32,7 +32,12 @@ import json
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.constraints import ConstraintProgram, ProgramSymbol
+from ..analysis.constraints import (
+    ConstraintProgram,
+    ProgramSymbol,
+    writable_list,
+    writable_set,
+)
 from .errors import ConstraintTextError
 from .export import FORMAT_VERSION, RESERVED_TOKENS
 
@@ -429,18 +434,22 @@ class _Importer:
                     "location",
                     lineno,
                 )
-            program.base[self._pointer(rhs[1], lineno)].add(x)
+            writable_set(program.base, self._pointer(rhs[1], lineno)).add(x)
         elif forms == ("var", "var"):  # p ⊇ q
             q = self._pointer(lhs[1], lineno)
             p = self._pointer(rhs[1], lineno)
             if q != p:
-                program.simple_out[q].add(p)
+                writable_set(program.simple_out, q).add(p)
         elif forms == ("proj", "var"):  # p ⊇ *q
             q = self._pointer(lhs[1], lineno)
-            program.load_from[q].append(self._pointer(rhs[1], lineno))
+            writable_list(program.load_from, q).append(
+                self._pointer(rhs[1], lineno)
+            )
         elif forms == ("var", "proj"):  # *p ⊇ q
             q = self._pointer(lhs[1], lineno)
-            program.store_into[self._pointer(rhs[1], lineno)].append(q)
+            writable_list(
+                program.store_into, self._pointer(rhs[1], lineno)
+            ).append(q)
         elif forms == ("lam", "var"):  # Func(f, r, a…)
             _, variadic, parts = lhs
             f = self._resolve(rhs[1], lineno)
@@ -456,7 +465,7 @@ class _Importer:
             if inference:
                 # LIR semantics: Sol(f) ∋ λ — the function value is its
                 # own memory location
-                program.base[f].add(f)
+                writable_set(program.base, f).add(f)
         elif forms == ("var", "lam"):  # Call(h, r, a…)
             _, _, parts = rhs
             h = self._resolve(lhs[1], lineno)

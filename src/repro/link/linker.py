@@ -52,10 +52,14 @@ from typing import (
 )
 
 from ..analysis.constraints import (
+    EMPTY_LIST_ROW,
+    EMPTY_SET_ROW,
     CallConstraint,
     ConstraintProgram,
     FuncConstraint,
     ProgramSymbol,
+    writable_list,
+    writable_set,
 )
 from ..obs import Registry, scope as _obs_scope
 
@@ -320,10 +324,10 @@ def _renumber(
         linked.in_p.extend(program.in_p[lo:hi])
         linked.in_m.extend(program.in_m[lo:hi])
     added = start - len(linked.base)
-    linked.base.extend(set() for _ in range(added))
-    linked.simple_out.extend(set() for _ in range(added))
-    linked.load_from.extend([] for _ in range(added))
-    linked.store_into.extend([] for _ in range(added))
+    linked.base.extend([EMPTY_SET_ROW] * added)
+    linked.simple_out.extend([EMPTY_SET_ROW] * added)
+    linked.load_from.extend([EMPTY_LIST_ROW] * added)
+    linked.store_into.extend([EMPTY_LIST_ROW] * added)
     cleared = [False] * added
     for flags in (
         linked.flag_ea,
@@ -345,20 +349,29 @@ def _copy_member(
     linked: ConstraintProgram, program: ConstraintProgram, m: List[int]
 ) -> None:
     """OR one member's constraints and semantic flags into ``linked``
-    through its joint map ``m``, visiting only non-empty rows."""
+    through its joint map ``m``, visiting only non-empty rows.  A row
+    that holds only a self-edge once mapped stays the shared empty
+    row."""
     mget = m.__getitem__
     n = program.num_vars
     for v in compress(range(n), program.base):
-        linked.base[m[v]].update(map(mget, program.base[v]))
+        writable_set(linked.base, m[v]).update(map(mget, program.base[v]))
+    simple_out = linked.simple_out
     for v in compress(range(n), program.simple_out):
         j = m[v]
-        out = linked.simple_out[j]
+        out = writable_set(simple_out, j)
         out.update(map(mget, program.simple_out[v]))
         out.discard(j)
+        if not out:
+            simple_out[j] = EMPTY_SET_ROW
     for v in compress(range(n), program.load_from):
-        linked.load_from[m[v]].extend(map(mget, program.load_from[v]))
+        writable_list(linked.load_from, m[v]).extend(
+            map(mget, program.load_from[v])
+        )
     for v in compress(range(n), program.store_into):
-        linked.store_into[m[v]].extend(map(mget, program.store_into[v]))
+        writable_list(linked.store_into, m[v]).extend(
+            map(mget, program.store_into[v])
+        )
     for source, target in (
         (program.flag_pte, linked.flag_pte),
         (program.flag_pe, linked.flag_pe),

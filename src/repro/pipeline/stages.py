@@ -577,26 +577,23 @@ class Pipeline:
         context,
         client: str,
         params: Optional[Dict] = None,
-        solution_digest: Optional[str] = None,
     ) -> "AuditArtifact":
         """Audit context → canonical client report (persistent stage).
 
         Keyed on (solution digest, client, canonical params): the
         parameter normalisation is the same shared helper every other
         audit surface uses, so an omitted default and an explicit one
-        hit the same cache entry.  A disk hit returns the stored report
+        hit the same cache entry.  The digest is the context's, which
+        the report then reuses.  A disk hit returns the stored report
         bytes without touching the solution (or the frontend, for
         IR-tier clients).
         """
         from ..audit import canonical_json, normalize_client_params, run_audit
 
         normalized = normalize_client_params(client, params)
-        digest = (
-            solution_digest
-            if solution_digest is not None
-            else context.solution.named_canonical_digest()
+        key = _key(
+            "audit", context.solution_digest, client, canonical_json(normalized)
         )
-        key = _key("audit", digest, client, canonical_json(normalized))
         if self.cache is not None:
             payload = self.cache.load_stage("audit", key)
             if payload is not None:

@@ -26,6 +26,7 @@ import pathlib
 import pytest
 
 from repro.analysis import OMEGA, ConstraintProgram, parse_name, run_configuration
+from repro.analysis.constraints import writable_set
 from repro.analysis.solution import OMEGA_WIRE, Solution
 from repro.analysis.solvers.base import SolverState
 from repro.analysis.solvers.naive import NaiveSolver
@@ -194,8 +195,8 @@ def test_ep_extraction_refuses_an_omega_set_missing_part_of_e(pts):
     p = program.add_var("p", pointer_compatible=True, is_memory=False)
     omega = program.add_var(OMEGA, pointer_compatible=True, is_memory=True)
     program.omega = omega
-    program.base[omega].update({omega, x})
-    program.base[p].add(omega)
+    writable_set(program.base, omega).update({omega, x})
+    writable_set(program.base, p).add(omega)
     with pytest.raises(AssertionError, match="lacks part of E"):
         SolverState(program, pts=pts).extract_solution()
     with pytest.raises(AssertionError, match="lacks part of E"):

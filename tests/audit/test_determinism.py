@@ -46,37 +46,32 @@ class TestCacheInvariance:
     @pytest.mark.parametrize("client", audit_names())
     def test_cold_warm_and_fresh_process_identical(self, client, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        pipeline, context, solution = fixture_context(FILES, cache=cache)
-        digest = solution.named_canonical_digest()
+        pipeline, context, _ = fixture_context(FILES, cache=cache)
 
-        cold = pipeline.audit(context, client, None, digest)
+        cold = pipeline.audit(context, client, None)
         assert not cold.from_cache
-        warm = pipeline.audit(context, client, None, digest)
+        warm = pipeline.audit(context, client, None)
         assert warm.from_cache
         assert canonical_json(cold.report) == canonical_json(warm.report)
 
         # A fresh pipeline over the same cache directory (a new
         # process) must answer from disk with the identical report.
-        pipeline2, context2, solution2 = fixture_context(
+        pipeline2, context2, _ = fixture_context(
             FILES, cache=ResultCache(tmp_path / "cache")
         )
-        fresh = pipeline2.audit(
-            context2, client, None, solution2.named_canonical_digest()
-        )
+        fresh = pipeline2.audit(context2, client, None)
         assert fresh.from_cache
         assert canonical_json(fresh.report) == canonical_json(cold.report)
 
     def test_explicit_defaults_share_the_cache_entry(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        pipeline, context, solution = fixture_context(FILES, cache=cache)
-        digest = solution.named_canonical_digest()
-        first = pipeline.audit(context, "escape", None, digest)
+        pipeline, context, _ = fixture_context(FILES, cache=cache)
+        first = pipeline.audit(context, "escape", None)
         assert not first.from_cache
         explicit = pipeline.audit(
             context,
             "escape",
             {"oracle": "combined", "heap_prefix": "heap."},
-            digest,
         )
         assert explicit.from_cache
         assert canonical_json(explicit.report) == canonical_json(first.report)

@@ -108,14 +108,14 @@ class TestExportRestrictions:
             export_constraint_text(lower_to_explicit(program))
 
     def test_duplicate_names_roundtrip_via_index_refs(self):
-        from repro.analysis.constraints import ConstraintProgram
+        from repro.analysis.constraints import ConstraintProgram, writable_set
 
         program = ConstraintProgram("dups")
         a = program.add_memory("x", pointer_compatible=True)
         b = program.add_memory("x", pointer_compatible=True)
         p = program.add_register("weird name")  # unsafe: space
-        program.base[p].add(a)
-        program.base[p].add(b)
+        writable_set(program.base, p).add(a)
+        writable_set(program.base, p).add(b)
         text = export_constraint_text(program)
         assert "@0" in text and "@1" in text and "@2" in text
         assert parse_constraint_text(text).digest() == program.digest()
