@@ -462,6 +462,7 @@ def cmd_audit(args) -> int:
     import json
 
     from .audit import (
+        CLIENTS,
         AuditError,
         audit_names,
         build_audit_context,
@@ -483,7 +484,13 @@ def cmd_audit(args) -> int:
         )
         return 2
     registry, trace = _obs_setup(args)
-    pipeline = Pipeline(cache=cache, registry=registry)
+    # Only an IR-tier client binds members; the others read the joint
+    # program and solution, so their members' IR dies at each build.
+    pipeline = Pipeline(
+        cache=cache,
+        registry=registry,
+        keep_ir=CLIENTS[args.client].requires_ir,
+    )
 
     sources = [
         pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())

@@ -140,11 +140,12 @@ class WorklistSolver:
         #: with ``keep``, set by :meth:`solve`: the fixpoint it reached
         self.fixpoint: Optional[Fixpoint] = None
         self._keep_groups = groups if keep else None
-        #: nodes whose flags or constraints changed since their last full
-        #: scan (forces full—not delta—processing under DP); a warm start
-        #: marks only its queue
+        #: under DP, nodes whose flags or constraints changed since their
+        #: last full scan (forces full—not delta—processing); a warm
+        #: start marks only its queue.  Nothing else reads it, so
+        #: without DP it stays empty.
         self._dirty: Set[int] = (
-            set(range(program.num_vars)) if warm is None else set()
+            set(range(program.num_vars)) if dp and warm is None else set()
         )
         for group in groups:
             for other in group[1:]:
@@ -165,7 +166,8 @@ class WorklistSolver:
         st = self.state
         if not st.pte[r]:
             st.pte[r] = True
-            self._dirty.add(r)
+            if self.dp:
+                self._dirty.add(r)
             self.worklist.push(r)
 
     def mark_pe(self, r: int) -> None:
@@ -173,7 +175,8 @@ class WorklistSolver:
         st = self.state
         if not st.pe[r]:
             st.pe[r] = True
-            self._dirty.add(r)
+            if self.dp:
+                self._dirty.add(r)
             self.worklist.push(r)
 
     def mark_external(self, x: int) -> None:
@@ -289,7 +292,8 @@ class WorklistSolver:
     # ------------------------------------------------------------------
 
     def _after_union(self, survivor: int, dead: int) -> None:
-        self._dirty.add(survivor)
+        if self.dp:
+            self._dirty.add(survivor)
         self.worklist.push(survivor)
         if self.detector is not None:
             self.detector.on_union(survivor, dead)
@@ -334,7 +338,7 @@ class WorklistSolver:
             if self.detector is not None:
                 self.detector.before_solve()
             self._apply_pending_unions()
-            if self.warm_started:
+            if self.warm_started and self.dp:
                 self._dirty.update(st.find(v) for v in self._queue)
             for v in self._queue:
                 self.worklist.push(st.find(v))
@@ -357,11 +361,13 @@ class WorklistSolver:
     # ------------------------------------------------------------------
 
     def _take_work(self, n: int):
-        """The pointee set a visit must process (delta under DP)."""
+        """The pointee set a visit must process (delta under DP); under
+        DP the visit scans ``n`` in full, so ``n`` is clean after it."""
         st = self.state
         if not self.dp:
             return st.sol[n]
         if n in self._dirty:
+            self._dirty.discard(n)
             work = st.sol[n] | st.dsol[n]
         else:
             work = st.dsol[n]
@@ -387,7 +393,6 @@ class WorklistSolver:
                     break
 
         work = self._take_work(n)
-        self._dirty.discard(n)
 
         # ToΩ: pointees of an Ω ⊒ n node are externally accessible.
         # (mark_external only ever adds the location being processed to
@@ -527,7 +532,6 @@ class WorklistSolver:
         assert omega is not None
 
         work = self._take_work(n)
-        self._dirty.discard(n)
 
         new_edges: Set[Tuple[int, int]] = set()
         marks_pte: Set[int] = set()

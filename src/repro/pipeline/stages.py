@@ -8,7 +8,8 @@ stage     artifact                     cache key hashes
 ========  ===========================  ==============================
 source    :class:`SourceArtifact`      the source text itself
 parse     AST translation unit         (not kept: each lower parses afresh)
-lower     :class:`repro.ir.Module`     (not kept: held by its member)
+lower     :class:`repro.ir.Module`     (not kept: held by its member
+                                       when the pipeline keeps IR)
 constr    :class:`ConstraintsArtifact` source digest (:func:`constraints_key`)
 link      :class:`LinkArtifact`        member program digests + options
 solve     :class:`SolveArtifact`       program digest + configuration
@@ -21,8 +22,9 @@ object graphs (AST/IR) that are cheap relative to their serialised
 size, so they are never stored — a disk hit on the *constraints* stage
 means they never run at all, which is exactly how a configuration-only
 change skips parsing.  In-process, the pipeline keeps one memo: each
-member's :class:`ConstraintsArtifact`, with the IR maps its build made
-(:meth:`Pipeline.bind` reads them).
+member's :class:`ConstraintsArtifact`, and, in a pipeline made with
+``keep_ir``, the IR maps its build made (:meth:`Pipeline.bind` reads
+them).
 
 Every stage key embeds a per-stage version string, bumped whenever the
 artifact encoding or the producing algorithm changes meaning.
@@ -142,9 +144,9 @@ class ConstraintsArtifact:
 
     :attr:`built` is the :class:`~repro.analysis.frontend.
     ModuleConstraints` the program was built from, with its IR ↔
-    variable maps.  It is None for a disk-cache hit, a ``.lir`` import
-    and a restored member; :meth:`Pipeline.bind` rebuilds it for a C
-    member.
+    variable maps, when the pipeline keeps IR (``keep_ir``).  It is
+    None otherwise, and for a disk-cache hit, a ``.lir`` import and a
+    restored member; :meth:`Pipeline.bind` rebuilds it for a C member.
     """
 
     __slots__ = (
@@ -245,7 +247,12 @@ class StageStats:
 class Pipeline:
     """Orchestrates the staged source→solution path for one process.
 
-    ``cache`` enables the persistent stages.
+    ``cache`` enables the persistent stages.  ``keep_ir`` keeps each C
+    member's IR and IR ↔ variable maps on its artifact (``built``) for
+    :meth:`bind`.  Only a caller that binds members needs it, and only
+    the caller knows whether it will: the served project and an IR-tier
+    audit set it.  Without it (a batch link, a constraint-tier audit, an
+    export) each member's IR dies inside its build.
     """
 
     STAGES = (
@@ -256,8 +263,10 @@ class Pipeline:
         self,
         cache: Optional[ResultCache] = None,
         registry: Optional[Registry] = None,
+        keep_ir: bool = False,
     ) -> None:
         self.cache = cache
+        self.keep_ir = keep_ir
         #: obs registry mirrored by every stage counter/timer under
         #: ``pipeline.<stage>.*`` (the disabled NULL_REGISTRY by default,
         #: so unprofiled pipelines never touch dict machinery)
@@ -292,10 +301,11 @@ class Pipeline:
     @contextmanager
     def _timed(self, stage: str) -> Iterator[None]:
         """Run one stage's work under the collector pause
-        (:mod:`repro.gcpause`), adding its wall time to the stage's
-        stats and, when profiling, to the registry timer
-        ``pipeline.<stage>``.  The stats lock guards the accumulation:
-        the serve fleet runs one pipeline from several threads."""
+        (:mod:`repro.gcpause`; inside a member build's window it nests),
+        adding its wall time to the stage's stats and, when profiling,
+        to the registry timer ``pipeline.<stage>``.  The stats lock
+        guards the accumulation: the serve fleet runs one pipeline from
+        several threads."""
         t0 = time.perf_counter()
         try:
             with paused():
@@ -363,14 +373,29 @@ class Pipeline:
             for key in [key for key in self._members if key not in keys]:
                 del self._members[key]
 
-    def _build(self, src: SourceArtifact) -> ModuleConstraints:
-        """Lower ``src`` and build its constraints with their IR maps."""
-        with _attributed(src):
-            module = self.lower(src)
-        with self._timed("constraints"):
-            built = build_constraints(module)
+    def _build(
+        self, src: SourceArtifact, keep_ir: bool
+    ) -> Tuple[ConstraintProgram, Optional[ModuleConstraints]]:
+        """Lower ``src`` and build its constraints: the program, and with
+        ``keep_ir`` the :class:`ModuleConstraints` holding its IR maps.
+
+        Parse, lower and constraints run in one collector window, with
+        no stage-exit collection between them.  Without ``keep_ir`` the
+        IR is unreachable before the window closes, so the young pass
+        that follows it frees the cyclic IR while it is still young
+        (internals §9, "The cyclic collector").
+        """
+        with paused():
+            with _attributed(src):
+                module = self.lower(src)
+            with self._timed("constraints"):
+                built = build_constraints(module)
+            del module
+            program = built.program
+            if not keep_ir:
+                built = None
         self._bump("constraints", "runs")
-        return built
+        return program, built
 
     def constraints(self, src: SourceArtifact) -> ConstraintsArtifact:
         """ir.Module → constraint program (memoised, persistent stage).
@@ -401,14 +426,14 @@ class Pipeline:
                     )
                 )
             self._bump("constraints", "misses")
-        built = self._build(src)
-        artifact = ConstraintsArtifact(src, key, built.program, built=built)
+        program, built = self._build(src, self.keep_ir)
+        artifact = ConstraintsArtifact(src, key, program, built=built)
         if self.cache is not None:
             self.cache.store_stage(
                 "constraints",
                 key,
                 {
-                    "program": built.program.to_dict(),
+                    "program": program.to_dict(),
                     "digest": artifact.program_digest,
                 },
             )
@@ -467,14 +492,15 @@ class Pipeline:
         linker's member→joint ``mapping``.
 
         Reads the IR maps kept on ``member``.  A member without them (a
-        disk-cache hit or a restored member) is lowered and built once
-        more, and the rebuilt program must be the one that was linked;
-        the maps then stay on the artifact for every later binding.
+        disk-cache hit, a restored member, or any member of a pipeline
+        that does not keep IR) is lowered and built once more, and the
+        rebuilt program must be the one that was linked; the maps then
+        stay on the artifact for every later binding.
         """
         built = member.built
         if built is None:
-            built = self._build(member.source)
-            if built.program.digest() != member.program_digest:
+            program, built = self._build(member.source, keep_ir=True)
+            if program.digest() != member.program_digest:
                 raise RuntimeError(
                     "non-deterministic constraint build for member"
                     f" {member.name!r}"

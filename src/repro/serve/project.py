@@ -69,7 +69,8 @@ class Snapshot:
     #: warm start; never cached or persisted
     _fixpoint: Optional[Fixpoint] = None
     _bindings: Dict[str, PointsToResult] = field(default_factory=dict)
-    _vars_by_name: Optional[Dict[str, List[int]]] = None
+    #: the first and the last joint variable of each name
+    _vars_by_name: Optional[Tuple[Dict[str, int], Dict[str, int]]] = None
     #: guards the lazy binding/name-index memos — concurrent read-only
     #: query workers share one snapshot and may race to derive them
     _lock: threading.Lock = field(default_factory=threading.Lock)
@@ -100,15 +101,30 @@ class Snapshot:
             return binding
 
     def vars_named(self, name: str) -> List[int]:
-        """Joint variable indexes carrying ``name`` (usually 0 or 1)."""
+        """Joint variable indexes carrying ``name`` (usually 0 or 1).
+
+        The index is two dicts built at C level, the first and the last
+        variable of each name; only a name whose two differ scans the
+        variables between them.
+        """
+        names = self.linked.program.var_names
         with self._lock:
             index = self._vars_by_name
             if index is None:
-                index = {}
-                for v, var_name in enumerate(self.linked.program.var_names):
-                    index.setdefault(var_name, []).append(v)
-                self._vars_by_name = index
-        return index.get(name, [])
+                order = list(range(len(names)))
+                # A repeated key keeps its last value: zipping backward
+                # finds each name's first variable, forward its last.
+                index = self._vars_by_name = (
+                    dict(zip(reversed(names), reversed(order))),
+                    dict(zip(names, order)),
+                )
+        first = index[0].get(name)
+        if first is None:
+            return []
+        last = index[1][name]
+        if first == last:
+            return [first]
+        return [v for v in range(first, last + 1) if names[v] == name]
 
     # ------------------------------------------------------------------
 
@@ -167,7 +183,10 @@ class Project:
         self.config = config if config is not None else DEFAULT_CONFIGURATION
         self.options = options if options is not None else LinkOptions()
         self.registry = registry if registry is not None else NULL_REGISTRY
-        self.pipeline = Pipeline(cache=cache, registry=self.registry)
+        # Served queries bind members across generations: keep their IR.
+        self.pipeline = Pipeline(
+            cache=cache, registry=self.registry, keep_ir=True
+        )
         self.generation = 0
         self._sources: Dict[str, SourceArtifact] = {}
         self._snapshot: Optional[Snapshot] = None

@@ -122,8 +122,12 @@ class TestStageCaching:
         assert pipeline.stats["constraints"].runs == 1
         assert pipeline.stats["constraints"].memo_hits == 1
         assert pipeline.stats["lower"].memo_hits == 0
-        # The memo keeps the IR maps the build made with the program.
-        assert first.built.program is first.program
+        # A default pipeline keeps no IR; one made with keep_ir keeps
+        # the IR maps the build made with the program.
+        assert first.built is None
+        kept = Pipeline(keep_ir=True)
+        kept_first = kept.constraints(kept.source("a.c", SRC_A))
+        assert kept_first.built.program is kept_first.program
         # A different name is a different member.
         b = pipeline.source("b.c", SRC_A)
         assert pipeline.constraints(b) is not first
