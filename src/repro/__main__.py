@@ -60,6 +60,7 @@ one-line ``file:line: message`` diagnostic instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -91,6 +92,13 @@ def _obs_setup(args):
         TraceWriter(args.trace_out) if args.trace_out is not None else None
     )
     return registry, trace
+
+
+def _traced(trace):
+    """A ``with`` block's hold on ``trace``: published when the block
+    completes, dropped when it raises; no-op when no trace was asked
+    for.  A command that fails without raising discards it itself."""
+    return trace if trace is not None else contextlib.nullcontext()
 
 
 def _add_obs_options(parser) -> None:
@@ -245,11 +253,11 @@ def _member_constraints(pipeline, src):
 
 
 def _link_failed(exc, trace) -> int:
-    """Print a LinkError's diagnostics, close the trace, return 1."""
+    """Print a LinkError's diagnostics, drop the trace, return 1."""
     for error in exc.errors:
         print(f"link error: {error}", file=sys.stderr)
     if trace is not None:
-        trace.close()
+        trace.discard()
     return 1
 
 
@@ -280,16 +288,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .driver import (
-        FileContext,
-        SolveTask,
-        solve_tasks,
-        source_digest,
-        validate_agreement,
-    )
+    from .driver import SolveTask, solve_tasks, source_digest, validate_agreement
 
     path = pathlib.Path(args.file)
-    source = path.read_text()
     names = [config.name for config in args.configs] or [
         "EP+Naive",
         "EP+OVS+WL(LRF)+OCD",
@@ -297,63 +298,53 @@ def cmd_sweep(args) -> int:
         "IP+WL(FIFO)+LCD+DP",
         "IP+WL(FIFO)+PIP",
     ]
-    if args.include and (args.jobs > 1 or args.cache):
-        # Worker tasks carry only the raw source, and the cache key is
-        # its content hash — neither sees --include headers, so header
-        # changes would go unnoticed.  Stay serial and uncached.
-        print("note: --include forces --jobs 1 --no-cache", file=sys.stderr)
-        args.jobs, args.cache = 1, False
-    digest = source_digest(source)
+    if args.include and args.cache:
+        # The cache key hashes the source, not the --include headers,
+        # so a header change would go unnoticed.
+        print("note: --include forces --no-cache", file=sys.stderr)
+        args.cache = False
+    digest = source_digest(path.read_text())
+    module = _load_module(args.file, args.include)
+    programs = {digest: build_constraints(module).program}
     tasks = [
         SolveTask(
             index=i,
             file_name=path.name,
             source_hash=digest,
             config_name=name,
-            source=source,
             repetitions=1,
         )
         for i, name in enumerate(names)
     ]
-    contexts = None
-    if args.jobs <= 1:
-        # Reuse the richer header-aware front end for the local path;
-        # workers compile the raw source themselves.
-        module = _load_module(args.file, args.include)
-        built = build_constraints(module)
-        contexts = {digest: FileContext(path.name, digest, built.program)}
     cache = _result_cache(args)
     registry, trace = _obs_setup(args)
-    try:
+    with _traced(trace):
         results, stats = solve_tasks(
             tasks,
+            programs,
             jobs=args.jobs,
             cache=cache,
-            contexts=contexts,
             registry=registry,
             trace=trace,
         )
         if trace is not None:
             trace.emit("metrics", "sweep", registry.to_dict())
-    finally:
-        if trace is not None:
-            trace.close()
-    print(f"{'configuration':>24}  {'time':>10}  {'explicit pointees':>18}")
-    for result in results:
-        pointees = result.explicit_pointees
-        print(f"{result.config_name:>24}  {1000 * result.runtime_s:8.2f}ms"
-              f"  {pointees:18,d}")
-    validate_agreement(results, tasks, contexts)
-    print("\nall configurations produced the identical solution")
-    if args.cache or args.jobs > 1:
-        print(stats)
-    if registry is not None:
-        print(
-            f"profile: {registry.counter('solver.solves')} solves,"
-            f" {registry.counter('solver.visits')} visits,"
-            f" {registry.counter('solver.propagations')} propagations,"
-            f" {registry.counter('solver.pair_evals')} pair evals"
-        )
+        print(f"{'configuration':>24}  {'time':>10}  {'explicit pointees':>18}")
+        for result in results:
+            pointees = result.explicit_pointees
+            print(f"{result.config_name:>24}  {1000 * result.runtime_s:8.2f}ms"
+                  f"  {pointees:18,d}")
+        validate_agreement(results, tasks, programs)
+        print("\nall configurations produced the identical solution")
+        if args.cache or args.jobs > 1:
+            print(stats)
+        if registry is not None:
+            print(
+                f"profile: {registry.counter('solver.solves')} solves,"
+                f" {registry.counter('solver.visits')} visits,"
+                f" {registry.counter('solver.propagations')} propagations,"
+                f" {registry.counter('solver.pair_evals')} pair evals"
+            )
     if args.trace_out is not None:
         print(f"wrote {args.trace_out}")
     return 0
@@ -372,87 +363,86 @@ def cmd_link(args) -> int:
     cache = _result_cache(args)
     registry, trace = _obs_setup(args)
     pipeline = Pipeline(cache=cache, registry=registry)
+    with _traced(trace):
+        sources = [
+            pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
+            for f in args.files
+        ]
+        members = [_member_constraints(pipeline, src) for src in sources]
+        try:
+            linked = pipeline.link(members, options).linked
+        except LinkError as exc:
+            return _link_failed(exc, trace)
+        solution = pipeline.solve(linked.program, config).solution
+        if trace is not None:
+            trace.emit("link", "+".join(src.name for src in sources),
+                       linked.summary())
+            for stage, stage_stats in pipeline.stage_report(timings=True).items():
+                trace.emit("stage", stage, stage_stats)
+            trace.emit("metrics", "link", registry.to_dict())
 
-    sources = [
-        pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
-        for f in args.files
-    ]
-    members = [_member_constraints(pipeline, src) for src in sources]
-    try:
-        linked = pipeline.link(members, options).linked
-    except LinkError as exc:
-        return _link_failed(exc, trace)
-    solution = pipeline.solve(linked.program, config).solution
-    if trace is not None:
-        trace.emit("link", "+".join(src.name for src in sources),
-                   linked.summary())
-        for stage, stage_stats in pipeline.stage_report(timings=True).items():
-            trace.emit("stage", stage, stage_stats)
-        trace.emit("metrics", "link", registry.to_dict())
-        trace.close()
-
-    summary = linked.summary()
-    print(f"; linked {len(sources)} modules:"
-          f" {summary['joint_vars']} constraint variables,"
-          f" {summary['joint_constraints']} constraints,"
-          f" configuration {config.name}")
-    resolved = linked.resolved_imports()
-    unresolved = linked.unresolved_imports()
-    print(f"; {len(resolved)} imports resolved across modules,"
-          f" {len(unresolved)} still external")
-    if resolved:
-        print("\nresolved cross-module:")
-        for name in resolved:
-            res = linked.resolutions[name]
-            refs = ", ".join(res.referenced_by)
-            print(f"  {name}: defined in {res.defined_in},"
-                  f" imported by {refs}")
-    if unresolved:
-        print("\nstill external (feed Ω):")
-        for name in unresolved:
+        summary = linked.summary()
+        print(f"; linked {len(sources)} modules:"
+              f" {summary['joint_vars']} constraint variables,"
+              f" {summary['joint_constraints']} constraints,"
+              f" configuration {config.name}")
+        resolved = linked.resolved_imports()
+        unresolved = linked.unresolved_imports()
+        print(f"; {len(resolved)} imports resolved across modules,"
+              f" {len(unresolved)} still external")
+        if resolved:
+            print("\nresolved cross-module:")
+            for name in resolved:
+                res = linked.resolutions[name]
+                refs = ", ".join(res.referenced_by)
+                print(f"  {name}: defined in {res.defined_in},"
+                      f" imported by {refs}")
+        if unresolved:
+            print("\nstill external (feed Ω):")
+            for name in unresolved:
+                print(f"  {name}")
+        print("\nexternally accessible:")
+        for name in sorted(map(str, solution.names(solution.external))):
             print(f"  {name}")
-    print("\nexternally accessible:")
-    for name in sorted(map(str, solution.names(solution.external))):
-        print(f"  {name}")
-    if args.show_solution:
-        print("\npoints-to sets:")
-        _print_points_to(solution, linked.program.var_names)
+        if args.show_solution:
+            print("\npoints-to sets:")
+            _print_points_to(solution, linked.program.var_names)
 
-    ladder_rungs = None
-    if args.ladder:
-        if options.internalize:
-            print("note: ladder always links prefixes in open mode",
-                  file=sys.stderr)
-        ladder_rungs = ladder_over_members(pipeline, members, config)
-        print("\nprefix ladder:")
-        print(format_table({"rungs": ladder_rungs}))
+        ladder_rungs = None
+        if args.ladder:
+            if options.internalize:
+                print("note: ladder always links prefixes in open mode",
+                      file=sys.stderr)
+            ladder_rungs = ladder_over_members(pipeline, members, config)
+            print("\nprefix ladder:")
+            print(format_table({"rungs": ladder_rungs}))
 
-    if args.out is not None:
-        report = {
-            # 2: the solution leaves E implicit in every set holding Ω
-            "schema": 2,
-            "files": [src.name for src in sources],
-            "config": config.name,
-            "options": options.to_dict(),
-            "link": summary,
-            "resolved_imports": resolved,
-            "unresolved_imports": unresolved,
-            "solution": solution.to_named_canonical(),
-            "stages": pipeline.stage_report(timings=True),
-        }
-        if registry is not None:
-            report["metrics"] = registry.to_dict()
-        if cache is not None:
-            report["cache"] = {
-                stage: stats.to_dict()
-                for stage, stats in sorted(cache.stage_stats.items())
+        if args.out is not None:
+            report = {
+                # 2: the solution leaves E implicit in every set holding Ω
+                "schema": 2,
+                "files": [src.name for src in sources],
+                "config": config.name,
+                "options": options.to_dict(),
+                "link": summary,
+                "resolved_imports": resolved,
+                "unresolved_imports": unresolved,
+                "solution": solution.to_named_canonical(),
+                "stages": pipeline.stage_report(timings=True),
             }
-        if ladder_rungs is not None:
-            report["ladder"] = ladder_rungs
-        _write_text_atomic(
-            args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"\nwrote {args.out}")
+            if registry is not None:
+                report["metrics"] = registry.to_dict()
+            if cache is not None:
+                report["cache"] = {
+                    stage: stats.to_dict()
+                    for stage, stats in sorted(cache.stage_stats.items())
+                }
+            if ladder_rungs is not None:
+                report["ladder"] = ladder_rungs
+            _write_text_atomic(
+                args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
+            )
+            print(f"\nwrote {args.out}")
     if args.trace_out is not None:
         print(f"wrote {args.trace_out}")
     return 0
@@ -492,59 +482,59 @@ def cmd_audit(args) -> int:
         keep_ir=CLIENTS[args.client].requires_ir,
     )
 
-    sources = [
-        pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
-        for f in args.files
-    ]
-    members = [_member_constraints(pipeline, src) for src in sources]
-    try:
-        linked = pipeline.link(members, options).linked
-    except LinkError as exc:
-        return _link_failed(exc, trace)
-    solution = pipeline.solve(linked.program, config).solution
+    with _traced(trace):
+        sources = [
+            pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
+            for f in args.files
+        ]
+        members = [_member_constraints(pipeline, src) for src in sources]
+        try:
+            linked = pipeline.link(members, options).linked
+        except LinkError as exc:
+            return _link_failed(exc, trace)
+        solution = pipeline.solve(linked.program, config).solution
 
-    # Constraint-tier clients cover every member; IR-tier clients see
-    # only the C members.
-    ir_members = [m for m in members if not m.name.endswith(".lir")]
-    context = build_audit_context(pipeline, ir_members, linked, solution)
-    params = {}
-    if args.oracle is not None:
-        params["oracle"] = args.oracle
-    if args.roots is not None:
-        params["roots"] = [r for r in args.roots.split(",") if r]
-    if args.heap_prefix is not None:
-        params["heap_prefix"] = args.heap_prefix
-    if args.frees is not None:
-        params["frees"] = [f for f in args.frees.split(",") if f]
-    if args.include_bounded is not None:
-        params["include_bounded"] = args.include_bounded
-    try:
-        audit_art = pipeline.audit(context, args.client, params)
-    except AuditError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
+        # Constraint-tier clients cover every member; IR-tier clients see
+        # only the C members.
+        ir_members = [m for m in members if not m.name.endswith(".lir")]
+        context = build_audit_context(pipeline, ir_members, linked, solution)
+        params = {}
+        if args.oracle is not None:
+            params["oracle"] = args.oracle
+        if args.roots is not None:
+            params["roots"] = [r for r in args.roots.split(",") if r]
+        if args.heap_prefix is not None:
+            params["heap_prefix"] = args.heap_prefix
+        if args.frees is not None:
+            params["frees"] = [f for f in args.frees.split(",") if f]
+        if args.include_bounded is not None:
+            params["include_bounded"] = args.include_bounded
+        try:
+            audit_art = pipeline.audit(context, args.client, params)
+        except AuditError as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            if trace is not None:
+                trace.discard()
+            return 1
+        report = audit_art.report
         if trace is not None:
-            trace.close()
-        return 1
-    report = audit_art.report
-    if trace is not None:
-        trace.emit("audit", args.client, report["counts"])
-        trace.emit("metrics", "audit", registry.to_dict())
-        trace.close()
+            trace.emit("audit", args.client, report["counts"])
+            trace.emit("metrics", "audit", registry.to_dict())
 
-    if args.format == "json":
-        sys.stdout.write(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-    else:
-        sys.stdout.write(render_report_table(report))
-        if args.evidence and report["findings"]:
-            sys.stdout.write("\nevidence:\n")
-            sys.stdout.write(render_report_evidence(report))
-    if args.out is not None:
-        _write_text_atomic(
-            args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.out}")
+        if args.format == "json":
+            sys.stdout.write(
+                json.dumps(report, indent=2, sort_keys=True) + "\n"
+            )
+        else:
+            sys.stdout.write(render_report_table(report))
+            if args.evidence and report["findings"]:
+                sys.stdout.write("\nevidence:\n")
+                sys.stdout.write(render_report_evidence(report))
+        if args.out is not None:
+            _write_text_atomic(
+                args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
+            )
+            print(f"wrote {args.out}")
     if args.trace_out is not None:
         print(f"wrote {args.trace_out}")
     return 0
@@ -559,29 +549,29 @@ def cmd_constraints_export(args) -> int:
     cache = _result_cache(args)
     registry, trace = _obs_setup(args)
     pipeline = Pipeline(cache=cache, registry=registry)
-    sources = [
-        pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
-        for f in args.files
-    ]
-    if len(sources) == 1:
-        # One file exports its TU constraint program, pre-link: no
-        # linkage escapes, no cross-module resolution.
-        program = _member_constraints(pipeline, sources[0]).program
-    else:
-        members = [_member_constraints(pipeline, src) for src in sources]
-        try:
-            program = pipeline.link(members, _link_options(args)).linked.program
-        except LinkError as exc:
-            return _link_failed(exc, trace)
-    text = export_constraint_text(program)
-    if trace is not None:
-        trace.emit("metrics", "constraints-export", registry.to_dict())
-        trace.close()
-    if args.out is not None:
-        _write_text_atomic(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    with _traced(trace):
+        sources = [
+            pipeline.source(pathlib.Path(f).name, pathlib.Path(f).read_text())
+            for f in args.files
+        ]
+        if len(sources) == 1:
+            # One file exports its TU constraint program, pre-link: no
+            # linkage escapes, no cross-module resolution.
+            program = _member_constraints(pipeline, sources[0]).program
+        else:
+            members = [_member_constraints(pipeline, src) for src in sources]
+            try:
+                program = pipeline.link(members, _link_options(args)).linked.program
+            except LinkError as exc:
+                return _link_failed(exc, trace)
+        text = export_constraint_text(program)
+        if trace is not None:
+            trace.emit("metrics", "constraints-export", registry.to_dict())
+        if args.out is not None:
+            _write_text_atomic(args.out, text)
+            print(f"wrote {args.out}")
+        else:
+            sys.stdout.write(text)
     if args.trace_out is not None:
         print(f"wrote {args.trace_out}", file=sys.stderr)
     return 0
@@ -591,33 +581,27 @@ def cmd_constraints_solve(args) -> int:
     import json
 
     from .analysis.solution import Solution
-    from .driver import FileContext, SolveTask, solve_tasks, source_digest
+    from .driver import SolveTask, solve_tasks, source_digest
     from .interchange import parse_constraint_text
 
     _check_out(args.out)
     config = args.config
     tasks = []
-    contexts = {}
     programs = {}
     for i, f in enumerate(args.files):
         path = pathlib.Path(f)
         text = path.read_text()
         digest = source_digest(text)
         if digest not in programs:
-            # Parse in the main process even when solving on workers:
-            # malformed text diagnoses here, file name attached, before
+            # Malformed text diagnoses here, file name attached, before
             # any pool spins up.
             programs[digest] = parse_constraint_text(text, path.name)
-            contexts[digest] = FileContext(
-                path.name, digest, programs[digest]
-            )
         tasks.append(
             SolveTask(
                 index=i,
                 file_name=path.name,
                 source_hash=digest,
                 config_name=config.name,
-                source=text,
                 repetitions=1,
                 # Nothing prints or writes a runtime: a wall timing
                 # would only solve every file again.
@@ -627,51 +611,48 @@ def cmd_constraints_solve(args) -> int:
         )
     cache = _result_cache(args)
     registry, trace = _obs_setup(args)
-    try:
+    with _traced(trace):
         results, stats = solve_tasks(
             tasks,
+            programs,
             jobs=args.jobs,
             cache=cache,
-            contexts=contexts if args.jobs <= 1 else None,
             registry=registry,
             trace=trace,
         )
         if trace is not None:
             trace.emit("metrics", "constraints-solve", registry.to_dict())
-    finally:
-        if trace is not None:
-            trace.close()
-    entries = []
-    for result in results:
-        program = programs[tasks[result.index].source_hash]
-        solution = Solution.from_canonical_dict(result.solution, program)
-        digest = solution.named_canonical_digest()
-        print(f"{result.file_name}: {program.num_vars} constraint"
-              f" variables, {program.num_constraints()} constraints,"
-              f" solution {digest[:12]}")
-        external = sorted(map(str, solution.names(solution.external)))
-        print(f"  externally accessible: {', '.join(external) or '(none)'}")
-        if args.show_solution:
-            _print_points_to(solution, program.var_names)
-        entries.append(
-            {
-                "file": result.file_name,
-                "config": result.config_name,
-                "solution_digest": digest,
-                "solution": solution.to_named_canonical(),
-            }
-        )
-    if args.cache or args.jobs > 1:
-        print(stats)
-    if args.out is not None:
-        # schema 2: each solution leaves E implicit in sets holding Ω
-        report = {"schema": 2, "config": config.name, "results": entries}
-        if registry is not None:
-            report["metrics"] = registry.to_dict()
-        _write_text_atomic(
-            args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.out}")
+        entries = []
+        for result in results:
+            program = programs[tasks[result.index].source_hash]
+            solution = Solution.from_canonical_dict(result.solution, program)
+            digest = solution.named_canonical_digest()
+            print(f"{result.file_name}: {program.num_vars} constraint"
+                  f" variables, {program.num_constraints()} constraints,"
+                  f" solution {digest[:12]}")
+            external = sorted(map(str, solution.names(solution.external)))
+            print(f"  externally accessible: {', '.join(external) or '(none)'}")
+            if args.show_solution:
+                _print_points_to(solution, program.var_names)
+            entries.append(
+                {
+                    "file": result.file_name,
+                    "config": result.config_name,
+                    "solution_digest": digest,
+                    "solution": solution.to_named_canonical(),
+                }
+            )
+        if args.cache or args.jobs > 1:
+            print(stats)
+        if args.out is not None:
+            # schema 2: each solution leaves E implicit in sets holding Ω
+            report = {"schema": 2, "config": config.name, "results": entries}
+            if registry is not None:
+                report["metrics"] = registry.to_dict()
+            _write_text_atomic(
+                args.out, json.dumps(report, indent=2, sort_keys=True) + "\n"
+            )
+            print(f"wrote {args.out}")
     if args.trace_out is not None:
         print(f"wrote {args.trace_out}")
     return 0
@@ -714,7 +695,7 @@ def cmd_serve(args) -> int:
     from .serve import serve_stdio, serve_tcp
 
     project, server, trace = _serve_components(args)
-    try:
+    with _traced(trace):
         if args.files:
             # Address the fleet's default project (a --state-dir restore
             # may have replaced the one _serve_components built), and
@@ -735,6 +716,8 @@ def cmd_serve(args) -> int:
                     " (expected HOST:PORT)",
                     file=sys.stderr,
                 )
+                if trace is not None:
+                    trace.discard()
                 return 2
 
             def ready(bound_host: str, bound_port: int) -> None:
@@ -746,14 +729,14 @@ def cmd_serve(args) -> int:
                     flush=True,
                 )
 
-            return serve_tcp(
+            status = serve_tcp(
                 server, host or "127.0.0.1", port, ready=ready
             )
-        return serve_stdio(server)
-    finally:
-        if trace is not None:
-            trace.close()
-            print(f"wrote {args.trace_out}", file=sys.stderr)
+        else:
+            status = serve_stdio(server)
+    if trace is not None:
+        print(f"wrote {args.trace_out}", file=sys.stderr)
+    return status
 
 
 def cmd_query(args) -> int:
@@ -764,39 +747,40 @@ def cmd_query(args) -> int:
     project, server, trace = _serve_components(args)
     client = InProcessClient(server)
     failures = 0
-    try:
-        project.open(_read_project_files(args.files))
-        for raw in args.query:
-            raw = raw.strip()
-            if raw.startswith("{"):
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    print(
-                        f"repro: error: bad --query JSON: {exc}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                if not isinstance(obj, dict) or "method" not in obj:
-                    print(
-                        "repro: error: --query object needs a 'method' key",
-                        file=sys.stderr,
-                    )
-                    return 2
-                method = obj["method"]
-                params = obj.get("params", {})
-            else:
-                method, params = raw, {}
-            response = client.request(method, params)
-            # Re-encode canonically: the printed line is byte-identical
-            # to what a served session would have written.
-            print(encode_frame(response))
-            if not response["ok"]:
-                failures += 1
-    finally:
-        server.finish()
-        if trace is not None:
-            trace.close()
+    # The trace is published once the server has shut down, even after
+    # a bad --query; only an exception drops it.
+    with _traced(trace):
+        try:
+            project.open(_read_project_files(args.files))
+            for raw in args.query:
+                raw = raw.strip()
+                if raw.startswith("{"):
+                    try:
+                        obj = json.loads(raw)
+                    except json.JSONDecodeError as exc:
+                        print(
+                            f"repro: error: bad --query JSON: {exc}",
+                            file=sys.stderr,
+                        )
+                        return 2
+                    if not isinstance(obj, dict) or "method" not in obj:
+                        print(
+                            "repro: error: --query object needs a 'method' key",
+                            file=sys.stderr,
+                        )
+                        return 2
+                    method = obj["method"]
+                    params = obj.get("params", {})
+                else:
+                    method, params = raw, {}
+                response = client.request(method, params)
+                # Re-encode canonically: the printed line is byte-identical
+                # to what a served session would have written.
+                print(encode_frame(response))
+                if not response["ok"]:
+                    failures += 1
+        finally:
+            server.finish()
     return 1 if failures else 0
 
 

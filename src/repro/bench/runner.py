@@ -20,10 +20,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..driver import (
     DriverStats,
-    FileContext,
     ResultCache,
     SolveTask,
-    TaskResult,
     solve_tasks,
     source_digest,
     validate_agreement,
@@ -147,10 +145,8 @@ def build_tasks(
 ) -> List[SolveTask]:
     """The (file, configuration) task list in canonical file-major order.
 
-    Tasks carry the corpus :class:`FileSpec` (not the built program), so
-    worker processes re-derive phase-1 state themselves; the in-process
-    path is seeded with the already-built programs via
-    :func:`build_contexts`.
+    Tasks name each file's program by its source hash; the programs
+    themselves are the ones the corpus already built.
     """
     tasks: List[SolveTask] = []
     for file in files:
@@ -162,25 +158,11 @@ def build_tasks(
                     file_name=file.spec.name,
                     source_hash=digest,
                     config_name=name,
-                    spec=file.spec,
                     repetitions=repetitions,
                     timing=timing,
                 )
             )
     return tasks
-
-
-def build_contexts(files: Sequence[CorpusFile]) -> Dict[str, FileContext]:
-    """Seed driver contexts from already-built corpus files (jobs=1)."""
-    contexts: Dict[str, FileContext] = {}
-    for file in files:
-        context = FileContext(
-            file.spec.name, source_digest(file.source), file.program
-        )
-        if file._ep_program is not None:
-            context.seed_ep(file._ep_program)
-        contexts[context.source_hash] = context
-    return contexts
 
 
 def run_experiment(
@@ -210,17 +192,17 @@ def run_experiment(
     """
     files = list(files)
     tasks = build_tasks(files, config_names, repetitions, timing)
-    contexts = build_contexts(files) if jobs == 1 else None
+    programs = {source_digest(file.source): file.program for file in files}
     task_results, driver_stats = solve_tasks(
         tasks,
+        programs,
         jobs=jobs,
         cache=cache,
-        contexts=contexts,
         registry=registry,
         trace=trace,
     )
     if validate:
-        validate_agreement(task_results, tasks, contexts)
+        validate_agreement(task_results, tasks, programs)
 
     profiles = {file.spec.name: _profile_of(file) for file in files}
     results = RunResults(driver=driver_stats)
@@ -251,7 +233,7 @@ def main(
     import pathlib
     import time
 
-    from ..__main__ import _configuration, _positive_int
+    from ..__main__ import _configuration, _positive_int, _traced
     from .report import table5, table6
     from .suite import build_corpus, flatten
 
@@ -323,7 +305,7 @@ def main(
         TraceWriter(args.trace_out) if args.trace_out is not None else None
     )
     t0 = time.time()
-    try:
+    with _traced(trace):
         results = run_experiment(
             files,
             [config.name for config in args.configs] or TABLE5_CONFIGS,
@@ -336,27 +318,24 @@ def main(
         )
         if trace is not None:
             trace.emit("metrics", "run", registry.to_dict())
-    finally:
-        if trace is not None:
-            trace.close()
-    print(f"{len(results.runs)} runs in {time.time() - t0:.1f}s")
-    print(results.driver)
-    if registry is not None:
-        print(
-            f"profile: {registry.counter('solver.solves')} solves,"
-            f" {registry.counter('solver.visits')} visits,"
-            f" {registry.counter('solver.propagations')} propagations,"
-            f" {registry.counter('solver.pair_evals')} pair evals"
-        )
+        print(f"{len(results.runs)} runs in {time.time() - t0:.1f}s")
+        print(results.driver)
+        if registry is not None:
+            print(
+                f"profile: {registry.counter('solver.solves')} solves,"
+                f" {registry.counter('solver.visits')} visits,"
+                f" {registry.counter('solver.propagations')} propagations,"
+                f" {registry.counter('solver.pair_evals')} pair evals"
+            )
+        print()
+        print(table5(results))
+        print()
+        print(table6(results, TABLE6_CONFIGS))
+        if args.out is not None:
+            args.out.write_text(results.to_json() + "\n")
+            print(f"\nwrote {args.out}")
     if args.trace_out is not None:
         print(f"wrote {args.trace_out}")
-    print()
-    print(table5(results))
-    print()
-    print(table6(results, TABLE6_CONFIGS))
-    if args.out is not None:
-        args.out.write_text(results.to_json() + "\n")
-        print(f"\nwrote {args.out}")
     return 0
 
 

@@ -1,22 +1,21 @@
-"""Parallel cached analysis driver.
+"""Parallel cached solve driver.
 
-Fans (file, configuration) solve tasks out over a process pool with
-deterministic result merging, backed by an on-disk result cache under
-``.repro-cache/`` keyed by (file content hash, configuration cache key,
-timing mode).  See ``docs/internals.md`` §9 for the architecture.
+Fans (file, configuration) solve tasks over the constraint programs its
+caller built out over a process pool with deterministic result merging,
+backed by an on-disk result cache under ``.repro-cache/`` keyed by
+(file content hash, configuration cache key, timing mode).  See
+``docs/internals.md`` §8 for the architecture.
 """
 
 from .cache import CACHE_SCHEMA, DEFAULT_CACHE_DIR, CacheStats, ResultCache
-from .pool import DriverStats, default_jobs, solve_tasks, validate_agreement
+from .pool import DriverStats, solve_tasks, validate_agreement
 from .tasks import (
     TIMING_MODES,
-    FileContext,
+    Programs,
     SolveTask,
     TaskResult,
-    context_for,
     cost_runtime,
     execute_task,
-    reset_contexts,
     source_digest,
 )
 
@@ -26,16 +25,13 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "DriverStats",
-    "default_jobs",
     "solve_tasks",
     "validate_agreement",
     "TIMING_MODES",
-    "FileContext",
+    "Programs",
     "SolveTask",
     "TaskResult",
-    "context_for",
     "cost_runtime",
     "execute_task",
-    "reset_contexts",
     "source_digest",
 ]

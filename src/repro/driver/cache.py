@@ -1,24 +1,25 @@
-"""On-disk result cache for (file content, configuration) solves.
+"""On-disk content-addressed cache of solved tasks and pipeline stages.
 
-Entries live under ``.repro-cache/solve/<k[:2]>/<key>.json`` where
-``key`` hashes (source content digest, ``Configuration.cache_key`` —
-which includes the pts backend — and the timing mode); see
-:meth:`repro.driver.tasks.SolveTask.cache_key` for the exact
-composition.  Each entry stores the canonical solution dict, its solver
-stats, and the measured runtime, so a warm run replays a previous run's
-measurements without a single solver invocation.
+Every entry lives under ``.repro-cache/stages/<stage>/<k[:2]>/<key>.json``.
+The driver's solved (file content, configuration) tasks are the
+``task`` stage, keyed by :meth:`repro.driver.tasks.SolveTask.cache_key`
+(source content digest, ``Configuration.cache_key`` — which includes the
+pts backend — and the timing mode); each stores the canonical solution
+dict, its solver stats, and the measured runtime, so a warm run replays
+a previous run's measurements without a single solver invocation.  The
+other stages are :mod:`repro.pipeline`'s artifacts.
 
 Every entry file is a header line followed by the payload's JSON
-text.  The header records the schema and the payload text's sha256, so
-a load verifies the exact bytes it read before decoding them, without
-re-serialising anything.
+text.  The header records the schema, the stage and the payload text's
+sha256, so a load verifies the exact bytes it read before decoding
+them, without re-serialising anything.
 
 The cache is *self-healing*: an entry that cannot be parsed, has a
-different schema version, fails its checksum or fails the sanity checks
-is deleted and counted in :attr:`CacheStats.corrupted` — the task is
-simply re-solved.  Writes go through a same-directory temp file +
-``os.replace`` so a killed process never leaves a truncated entry
-behind.
+different schema version, fails its checksum or fails its stage's
+decoder is deleted and counted in :attr:`CacheStats.corrupted` — the
+artifact is simply rebuilt.  Writes go through a same-directory temp
+file + ``os.replace`` so a killed process never leaves a truncated
+entry behind.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ import json
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
-
-from .tasks import SolveTask, TaskResult
 
 #: default cache location, relative to the working directory
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -103,14 +102,15 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed store of solved task results.
+    """Content-addressed store of stage artifacts, one namespace per
+    stage (the driver's ``task`` stage among them).
 
-    ``max_entries`` (optional) bounds every namespace — the solve-task
-    store and each pipeline-stage store — to that many entries with
-    least-recently-*used* eviction: a hit refreshes the entry's mtime,
-    and a store that pushes a namespace over the bound deletes the
-    stalest entries (counted in :attr:`CacheStats.evicted`).  Unbounded
-    by default, preserving the original grow-forever behaviour.
+    ``max_entries`` (optional) bounds every namespace to that many
+    entries with least-recently-*used* eviction: a hit refreshes the
+    entry's mtime, and a store that pushes a namespace over the bound
+    deletes the stalest entries (counted in :attr:`CacheStats.evicted`).
+    Unbounded by default, preserving the original grow-forever
+    behaviour.
     """
 
     def __init__(
@@ -122,17 +122,10 @@ class ResultCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.stats = CacheStats()
-        #: per-pipeline-stage hit counters (stage name → stats); the
-        #: solve-task counters above are kept separate for compatibility
+        #: per-stage hit counters (stage name → stats)
         self.stage_stats: Dict[str, CacheStats] = {}
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / "solve" / key[:2] / f"{key}.json"
-
     def _stage_path(self, stage: str, key: str) -> pathlib.Path:
-        # Stage entries live in their own namespace so they can never
-        # collide with (or corrupt-delete) solve-task entries.
         return self.root / "stages" / stage / key[:2] / f"{key}.json"
 
     # ------------------------------------------------------------------
@@ -214,11 +207,11 @@ class ResultCache:
             pass
 
     # ------------------------------------------------------------------
-    # Generic stage entries (repro.pipeline)
+    # Stage entries
     # ------------------------------------------------------------------
 
     def stats_for(self, stage: str) -> CacheStats:
-        """Hit/miss counters for one pipeline stage (created lazily)."""
+        """Hit/miss counters for one stage (created lazily)."""
         stats = self.stage_stats.get(stage)
         if stats is None:
             stats = self.stage_stats[stage] = CacheStats()
@@ -232,14 +225,14 @@ class ResultCache:
     ) -> Any:
         """The cached payload for one stage artifact, or None on a miss.
 
-        Self-healing like :meth:`load`: unparsable or wrong-schema
-        entries are deleted and reported as misses.  ``decode`` (when
-        given) turns the payload into the live artifact, which is then
-        returned instead; a well-formed entry whose *content* fails to
-        decode — a dangling index, a malformed program — is discarded
-        the same way and never counted as a hit.  ``decode`` reports bad
-        content as ValueError, KeyError or TypeError; any other error is
-        a bug and propagates.
+        Never raises on a bad entry: unparsable or wrong-schema entries
+        are deleted and reported as misses, so cache corruption can cost
+        time but never correctness.  ``decode`` (when given) turns the
+        payload into the live artifact, which is then returned instead;
+        a well-formed entry whose *content* fails to decode — a dangling
+        index, a malformed program — is discarded the same way and never
+        counted as a hit.  ``decode`` reports bad content as ValueError,
+        KeyError or TypeError; any other error is a bug and propagates.
         """
         stats = self.stats_for(stage)
         path = self._stage_path(stage, key)
@@ -269,60 +262,6 @@ class ResultCache:
         stats = self.stats_for(stage)
         stats.stores += 1
         self._prune(self.root / "stages" / stage, path, stats)
-
-    # ------------------------------------------------------------------
-
-    def load(self, task: SolveTask) -> Optional[TaskResult]:
-        """The cached result for ``task``, or None on a miss.
-
-        Never raises on a bad entry: anything unreadable is discarded
-        (deleted) and reported as a miss, so cache corruption can cost
-        time but never correctness.
-        """
-        path = self._path(task.cache_key())
-        text = self._read_entry(path, self.stats)
-        if text is None:
-            return None
-        try:
-            _, entry = decode_entry(text)
-            solution = entry["solution"]
-            # Sanity: the fields every consumer reads must be present
-            # with the right shapes before we trust the entry.
-            runtime = float(entry["runtime_s"])
-            if not isinstance(solution["points_to"], list):
-                raise ValueError("points_to is not a list")
-            if not isinstance(solution["external"], list):
-                raise ValueError("external is not a list")
-            int(solution["stats"]["explicit_pointees"])
-        except (ValueError, KeyError, TypeError):
-            self._discard_corrupt(path, self.stats)
-            return None
-        self.stats.hits += 1
-        if self.max_entries is not None:
-            self._touch(path)
-        return TaskResult(
-            task.index,
-            task.file_name,
-            task.config_name,
-            runtime,
-            solution,
-            from_cache=True,
-        )
-
-    def store(self, task: SolveTask, result: TaskResult) -> None:
-        """Persist one solved result (atomic same-directory rename)."""
-        path = self._path(task.cache_key())
-        entry = {
-            "file": task.file_name,
-            "source_hash": task.source_hash,
-            "config_key": task.configuration().cache_key,
-            "timing": task.timing,
-            "runtime_s": result.runtime_s,
-            "solution": result.solution,
-        }
-        self._write_entry(path, encode_entry({}, entry))
-        self.stats.stores += 1
-        self._prune(self.root / "solve", path, self.stats)
 
     @staticmethod
     def _write_entry(path: pathlib.Path, text: str) -> None:

@@ -1,43 +1,37 @@
-"""The parallel analysis driver: fan tasks out, merge deterministically.
+"""The parallel analysis driver: fan solves out, merge deterministically.
 
 :func:`solve_tasks` is the single entry point for batch solving
 (``repro.bench.runner``, ``repro sweep`` and ``repro constraints
-solve``):
+solve``).  Its caller builds every constraint program once and hands
+them over keyed by source hash; the driver only looks programs up,
+prepares and solves them:
 
 1. Look every task up in the on-disk cache (when enabled) — warm tasks
    never reach a worker, let alone a solver.
 2. Coalesce tasks that share a cache identity (solve once, replicate),
-   then run the remainder either in-process (``jobs=1`` — bit-identical
-   to the historical serial loop) or on a ``multiprocessing`` pool.
+   then run the remainder either in-process (``jobs=1``) or on a
+   ``multiprocessing`` pool whose workers receive the programs once,
+   through the pool initializer.
 3. Merge results **by task index**: the returned list is ordered by
    submission order regardless of which worker finished first, so a
    ``--jobs 8`` run reports byte-identically to ``--jobs 1``.
-
-Workers receive only compact :class:`repro.driver.tasks.SolveTask`
-objects and re-derive constraint programs locally (memoised per file
-content hash), because solver state — interned frozensets, pts backend
-objects, union-find structures — is deliberately not sent across the
-process boundary.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..analysis.constraints import ConstraintProgram
 from ..obs import Registry, TraceWriter, record_solver_stats
 from .cache import CacheStats, ResultCache
-from .tasks import (
-    FileContext,
-    SolveTask,
-    TaskResult,
-    context_for,
-    execute_task,
-    reset_contexts,
-)
+from .tasks import Programs, SolveTask, TaskResult, execute_task
+
+#: the :class:`ResultCache` stage that holds solved task results
+TASK_STAGE = "task"
 
 
 @dataclass
@@ -61,11 +55,6 @@ class DriverStats:
             f"driver: {self.tasks} tasks, {self.solved} solved,"
             f" jobs={self.jobs}{cache}"
         )
-
-
-def default_jobs() -> int:
-    """A sensible ``--jobs`` default: the machine's CPU count."""
-    return os.cpu_count() or 1
 
 
 def _pool_context(
@@ -94,33 +83,73 @@ def _pool_context(
     return multiprocessing.get_context()  # pragma: no cover - exotic platform
 
 
-def _init_worker() -> None:
-    """Pool initializer: start every worker with an empty FileContext
-    memo.  Under spawn the module is re-imported fresh anyway; under
-    fork the worker would otherwise inherit whatever the parent process
-    had memoised, making worker behaviour depend on the start method
-    (and on parent history).  Resetting here makes both methods solve
-    from identical state."""
-    reset_contexts()
+#: a pool worker's programs, installed by :func:`_init_worker`
+_WORKER_PROGRAMS: Optional[Programs] = None
+
+
+def _init_worker(programs: Mapping[str, ConstraintProgram]) -> None:
+    """Pool initializer: the caller's programs reach each worker once —
+    inherited under fork, pickled under spawn — and every worker starts
+    with no EP twin lowered, whatever the start method."""
+    global _WORKER_PROGRAMS
+    _WORKER_PROGRAMS = Programs(programs)
+
+
+def _execute_in_worker(task: SolveTask) -> TaskResult:
+    return execute_task(task, _WORKER_PROGRAMS)
+
+
+def _task_entry(task: SolveTask, result: TaskResult) -> Dict:
+    """The ``task``-stage cache payload of one solved task."""
+    return {
+        "file": task.file_name,
+        "source_hash": task.source_hash,
+        "config_key": task.configuration().cache_key,
+        "timing": task.timing,
+        "runtime_s": result.runtime_s,
+        "solution": result.solution,
+    }
+
+
+def _cached_result(task: SolveTask, entry: Dict) -> TaskResult:
+    """Decode one ``task``-stage cache entry into ``task``'s result.
+
+    The fields every consumer reads must be present with the right
+    shapes; anything else raises ValueError, KeyError or TypeError, so
+    the cache discards the entry and the task is solved again.
+    """
+    solution = entry["solution"]
+    runtime = float(entry["runtime_s"])
+    if not isinstance(solution["points_to"], list):
+        raise ValueError("points_to is not a list")
+    if not isinstance(solution["external"], list):
+        raise ValueError("external is not a list")
+    int(solution["stats"]["explicit_pointees"])
+    return TaskResult(
+        task.index,
+        task.file_name,
+        task.config_name,
+        runtime,
+        solution,
+        from_cache=True,
+    )
 
 
 def solve_tasks(
     tasks: Sequence[SolveTask],
+    programs: Mapping[str, ConstraintProgram],
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    contexts: Optional[Dict[str, FileContext]] = None,
-    progress: Optional[Callable[[TaskResult], None]] = None,
     registry: Optional[Registry] = None,
     trace: Optional[TraceWriter] = None,
     start_method: Optional[str] = None,
 ) -> Tuple[List[TaskResult], DriverStats]:
     """Execute ``tasks``, returning results ordered by task index.
 
-    ``contexts`` optionally seeds the in-process derived-state memo with
-    constraint programs the caller already built (source hash →
-    :class:`FileContext`); it only applies to the ``jobs=1`` path —
-    worker processes always re-derive their own.  ``progress`` is called
-    once per completed task, in completion order.
+    ``programs`` maps each task's ``source_hash`` to the IP constraint
+    program the caller built for it.  With ``jobs=1`` the tasks are
+    solved in this process; otherwise each pool worker receives the
+    programs its tasks need once, through the pool initializer.
 
     An enabled ``registry`` turns on per-task profiling: every solved
     task carries its worker-local metrics back on the result, and they
@@ -137,21 +166,20 @@ def solve_tasks(
     stats = DriverStats(jobs=jobs, tasks=len(tasks))
     results: Dict[int, TaskResult] = {}
     profiling = registry is not None and registry.enabled
-    if profiling:
-        # Delta-snapshot the cache counters: the same ResultCache object
-        # is commonly reused across solve_tasks calls, and this call
-        # must only account for its own hits/misses.
-        cache_before = cache.stats.to_dict() if cache is not None else None
 
     pending: List[SolveTask] = []
     if cache is not None:
-        stats.cache = cache.stats
+        stats.cache = cache.stats_for(TASK_STAGE)
+        # Delta-snapshot the cache counters: the same ResultCache object
+        # is commonly reused across solve_tasks calls, and this call
+        # must only account for its own hits/misses.
+        cache_before = stats.cache.to_dict()
         for task in tasks:
-            hit = cache.load(task)
+            hit = cache.load_stage(
+                TASK_STAGE, task.cache_key(), functools.partial(_cached_result, task)
+            )
             if hit is not None:
                 results[task.index] = hit
-                if progress is not None:
-                    progress(hit)
             else:
                 pending.append(task)
     else:
@@ -187,17 +215,18 @@ def solve_tasks(
     coalesced = sum(len(v) for v in duplicates.values())
     if unique:
         if jobs == 1:
-            completed = _run_serial(unique, contexts or {})
+            local = Programs(programs)
+            completed = [execute_task(task, local) for task in unique]
         else:
-            completed = _run_pool(unique, jobs, start_method)
+            # Workers receive only the programs the cold tasks solve.
+            needed = {t.source_hash: programs[t.source_hash] for t in unique}
+            completed = _run_pool(unique, needed, jobs, start_method)
         for task, key, result in zip(unique, unique_keys, completed):
             if cache is not None:
-                cache.store(task, result)
+                cache.store_stage(TASK_STAGE, key, _task_entry(task, result))
             results[result.index] = result
-            if progress is not None:
-                progress(result)
             for dup in duplicates.get(key, ()):
-                echo = TaskResult(
+                results[dup.index] = TaskResult(
                     dup.index,
                     dup.file_name,
                     dup.config_name,
@@ -205,9 +234,6 @@ def solve_tasks(
                     result.solution,
                     result.from_cache,
                 )
-                results[dup.index] = echo
-                if progress is not None:
-                    progress(echo)
 
     ordered = [results[t.index] for t in tasks]
     if profiling:
@@ -215,7 +241,7 @@ def solve_tasks(
         registry.add("driver.solved", stats.solved)
         registry.add("driver.coalesced", coalesced)
         if cache is not None:
-            after = cache.stats.to_dict()
+            after = stats.cache.to_dict()
             for field, n in after.items():
                 registry.add(f"driver.cache.{field}", n - cache_before[field])
         # Index-order merge: every worker's registry lands in the same
@@ -243,24 +269,9 @@ def solve_tasks(
     return ordered, stats
 
 
-def _run_serial(
-    tasks: Sequence[SolveTask], contexts: Dict[str, FileContext]
-) -> List[TaskResult]:
-    """In-process execution (the historical serial path, unchanged)."""
-    return [execute_task(task, _context(task, contexts)) for task in tasks]
-
-
-def _context(task: SolveTask, contexts: Dict[str, FileContext]) -> FileContext:
-    """``task``'s file context from ``contexts``, derived and added if absent."""
-    context = contexts.get(task.source_hash)
-    if context is None:
-        context = context_for(task)
-        contexts[task.source_hash] = context
-    return context
-
-
 def _run_pool(
     tasks: Sequence[SolveTask],
+    programs: Mapping[str, ConstraintProgram],
     jobs: int,
     start_method: Optional[str] = None,
 ) -> List[TaskResult]:
@@ -274,8 +285,12 @@ def _run_pool(
     """
     ctx = _pool_context(start_method)
     workers = min(jobs, len(tasks))
-    with ctx.Pool(processes=workers, initializer=_init_worker) as pool:
-        unordered = list(pool.imap_unordered(execute_task, tasks, chunksize=1))
+    with ctx.Pool(
+        processes=workers, initializer=_init_worker, initargs=(programs,)
+    ) as pool:
+        unordered = list(
+            pool.imap_unordered(_execute_in_worker, tasks, chunksize=1)
+        )
     by_index = {r.index: r for r in unordered}
     return [by_index[t.index] for t in tasks]
 
@@ -288,7 +303,7 @@ def _run_pool(
 def validate_agreement(
     results: Sequence[TaskResult],
     tasks: Sequence[SolveTask],
-    contexts: Optional[Dict[str, FileContext]] = None,
+    programs: Mapping[str, ConstraintProgram],
 ) -> None:
     """Assert every configuration of a file produced the same solution.
 
@@ -301,11 +316,10 @@ def validate_agreement(
     Two configurations that differ on the Reduce axis agree on the
     memory locations (in M) and the external set only: reduction may
     widen the Sol of a collapsed temporary (internals §13).  Their
-    comparison reads M from the file's program, taken from ``contexts``
-    or re-derived the way a serial task derives it.
+    comparison reads M from the file's program in ``programs``, the map
+    the tasks were solved from.
     """
     task_at = {task.index: task for task in tasks}
-    contexts = {} if contexts is None else contexts
     reference: Dict[str, TaskResult] = {}
     for result in results:
         ref = reference.setdefault(result.file_name, result)
@@ -315,7 +329,7 @@ def validate_agreement(
         points_to = result.solution["points_to"]
         task = task_at[result.index]
         if task_at[ref.index].configuration().reduce != task.configuration().reduce:
-            in_m = _context(task, contexts).program.in_m
+            in_m = programs[task.source_hash].in_m
             ref_points_to = [entry for entry in ref_points_to if in_m[entry[0]]]
             points_to = [entry for entry in points_to if in_m[entry[0]]]
         if (

@@ -1,11 +1,10 @@
 """Compact, picklable units of work for the parallel driver.
 
-A :class:`SolveTask` carries only primitives — a :class:`FileSpec`
-recipe (or raw C source) and a configuration *name* — never solver
-objects, interned frozensets or constraint programs.
-Worker processes re-derive everything heavyweight from the task via
-:func:`context_for`, memoising per file content hash so a worker that
-receives several configurations of the same file compiles it once.
+A :class:`SolveTask` carries only primitives — the content hash of the
+translation unit it solves and a configuration *name* — never solver
+objects or constraint programs.  The programs come from the caller of
+:func:`repro.driver.solve_tasks`, built once and keyed by that hash;
+:class:`Programs` is one process's view of them.
 
 Task results travel back as :class:`TaskResult`, whose solution field is
 the canonical wire dict of :meth:`repro.analysis.solution.Solution.
@@ -17,19 +16,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Mapping, Optional
 
 from ..analysis.config import Configuration, parse_name, solve_prepared
 from ..analysis.constraints import ConstraintProgram
 from ..analysis.omega import lower_to_explicit
 from ..analysis.solution import Solution, SolverStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..bench.corpus import FileSpec
-
-# NOTE: repro.bench modules are imported lazily inside functions —
-# repro.bench.runner builds on this module, so an eager import here
-# would be circular.
 
 #: timing modes: ``wall`` measures best-of-N wall clock (the default,
 #: today's serial behaviour); ``cost`` derives a deterministic pseudo-
@@ -62,8 +54,8 @@ def cost_runtime(stats: SolverStats) -> float:
 class SolveTask:
     """One (file, configuration) solve, serialised compactly.
 
-    Exactly one of ``spec`` (corpus recipe; the worker regenerates the
-    deterministic C source) or ``source`` (raw C text) is set.
+    ``source_hash`` names the program the task solves: its key in the
+    caller's program map, and the content part of :meth:`cache_key`.
     ``index`` is the task's position in submission order — the merge key
     that makes result order independent of completion order.
     """
@@ -72,13 +64,10 @@ class SolveTask:
     file_name: str
     source_hash: str
     config_name: str
-    spec: Optional["FileSpec"] = None
-    source: Optional[str] = None
     repetitions: int = 3
     timing: str = "wall"
-    #: what ``source`` holds: ``"c"`` (a C translation unit, the
-    #: default) or ``"lir"`` (constraint text for
-    #: :func:`repro.interchange.parse_constraint_text`)
+    #: what ``source_hash`` hashes: ``"c"`` (a C translation unit, the
+    #: default) or ``"lir"`` (constraint text)
     source_kind: str = "c"
     #: collect per-task metrics (obs registry dict on the result).
     #: Deliberately NOT part of :meth:`cache_key` — observing a solve
@@ -86,14 +75,10 @@ class SolveTask:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        if (self.spec is None) == (self.source is None):
-            raise ValueError("exactly one of spec/source must be given")
         if self.timing not in TIMING_MODES:
             raise ValueError(f"unknown timing mode {self.timing!r}")
         if self.source_kind not in ("c", "lir"):
             raise ValueError(f"unknown source kind {self.source_kind!r}")
-        if self.source_kind != "c" and self.spec is not None:
-            raise ValueError("corpus specs always generate C source")
 
     def configuration(self) -> Configuration:
         return parse_name(self.config_name)
@@ -138,79 +123,39 @@ class TaskResult:
         return self.solution["stats"]["explicit_pointees"]
 
 
-class FileContext:
-    """Per-process derived state for one translation unit.
+class Programs:
+    """The caller's IP programs (source hash → program), as one process
+    solves a batch of them: an EP configuration gets the program's EP
+    twin (Ω made explicit), lowered on its first use and kept, so the
+    process lowers each program at most once per batch."""
 
-    Holds the phase-1 constraint program and lazily materialises the
-    EP twin (Ω made explicit).  These objects are exactly the
-    "unpicklable state" a worker re-derives instead of receiving over
-    the pipe: they reference interned frozensets and backend objects.
-    """
+    __slots__ = ("_ip", "_ep")
 
-    __slots__ = ("name", "source_hash", "program", "_ep")
+    def __init__(self, programs: Mapping[str, ConstraintProgram]) -> None:
+        self._ip = programs
+        self._ep: Dict[str, ConstraintProgram] = {}
 
-    def __init__(
-        self, name: str, source_hash: str, program: ConstraintProgram
-    ) -> None:
-        self.name = name
-        self.source_hash = source_hash
-        self.program = program
-        self._ep: Optional[ConstraintProgram] = None
-
-    def prepared(self, config: Configuration) -> ConstraintProgram:
-        if config.representation == "EP":
-            if self._ep is None:
-                self._ep = lower_to_explicit(self.program)
-            return self._ep
-        return self.program
-
-    def seed_ep(self, ep_program: ConstraintProgram) -> None:
-        """Reuse an EP twin the caller already materialised."""
-        self._ep = ep_program
+    def prepared(
+        self, source_hash: str, config: Configuration
+    ) -> ConstraintProgram:
+        if config.representation != "EP":
+            return self._ip[source_hash]
+        twin = self._ep.get(source_hash)
+        if twin is None:
+            twin = self._ep[source_hash] = lower_to_explicit(
+                self._ip[source_hash]
+            )
+        return twin
 
 
-#: per-process memo: source hash → derived FileContext.  Lives in module
-#: scope so every task executed in one worker process shares it.
-_CONTEXTS: Dict[str, FileContext] = {}
-
-
-def reset_contexts() -> None:
-    """Drop all memoised file contexts (tests / memory pressure)."""
-    _CONTEXTS.clear()
-
-
-def context_for(task: SolveTask) -> FileContext:
-    """The (memoised) derived state for ``task``'s translation unit."""
-    ctx = _CONTEXTS.get(task.source_hash)
-    if ctx is None:
-        if task.source_kind == "lir":
-            from ..interchange import parse_constraint_text
-
-            program = parse_constraint_text(task.source, task.file_name)
-        else:
-            from ..analysis.frontend import build_constraints
-            from ..bench.corpus import generate_c_source
-            from ..frontend import compile_c
-
-            source = task.source
-            if source is None:
-                source = generate_c_source(task.spec)
-            module = compile_c(source, task.file_name)
-            program = build_constraints(module).program
-        ctx = FileContext(task.file_name, task.source_hash, program)
-        _CONTEXTS[task.source_hash] = ctx
-    return ctx
-
-
-def execute_task(
-    task: SolveTask, context: Optional[FileContext] = None
-) -> TaskResult:
+def execute_task(task: SolveTask, programs: Programs) -> TaskResult:
     """Solve one task; the worker entry point (and the in-process path).
 
     Mirrors the historical serial runner exactly: one untimed solve
     produces the solution (and, under wall timing, warms the path),
     then ``time_callable`` measures ``repetitions`` further solves.
     """
+    # Imported here: repro.bench.runner builds on this module.
     from ..bench.timing import time_callable
 
     reg = None
@@ -220,15 +165,13 @@ def execute_task(
         reg = Registry()
     if reg is not None:
         with reg.scope("task.derive"):
-            ctx = context if context is not None else context_for(task)
             config = task.configuration()
-            prepared = ctx.prepared(config)
+            prepared = programs.prepared(task.source_hash, config)
         with reg.scope("task.solve"):
             solution: Solution = solve_prepared(prepared, config)
     else:
-        ctx = context if context is not None else context_for(task)
         config = task.configuration()
-        prepared = ctx.prepared(config)
+        prepared = programs.prepared(task.source_hash, config)
         solution = solve_prepared(prepared, config)
     if task.timing == "cost":
         runtime = cost_runtime(solution.stats)

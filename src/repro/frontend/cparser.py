@@ -34,6 +34,12 @@ class ParseError(SyntaxError):
     def __init__(self, message: str, token: Token):
         super().__init__(f"line {token.line}:{token.col}: {message}")
         self.token = token
+        self._message = message
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted message: rebuild from the
+        # constructor's own arguments so the error survives pickling.
+        return type(self), (self._message, self.token), self.__dict__
 
 
 TYPE_SPECIFIER_KEYWORDS = {

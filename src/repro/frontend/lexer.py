@@ -56,6 +56,12 @@ class LexError(SyntaxError):
         super().__init__(f"line {line}:{col}: {message}")
         self.line = line
         self.col = col
+        self._message = message
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted message: rebuild from the
+        # constructor's own arguments so the error survives pickling.
+        return type(self), (self._message, self.line, self.col), self.__dict__
 
 
 _SIMPLE_ESCAPES = {

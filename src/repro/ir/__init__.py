@@ -48,12 +48,7 @@ from .values import (
     UndefConstant,
     Value,
 )
-from .verifier import (
-    VerificationError,
-    compute_address_taken,
-    verify_module,
-    verify_modules,
-)
+from .verifier import VerificationError, compute_address_taken, verify_module
 
 __all__ = [
     "types",
@@ -91,7 +86,6 @@ __all__ = [
     "print_instruction",
     "collect_struct_types",
     "verify_module",
-    "verify_modules",
     "VerificationError",
     "compute_address_taken",
 ]

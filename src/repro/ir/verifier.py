@@ -6,7 +6,7 @@ Checks the invariants the analysis and printer rely on.  Raises
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Set
 
 from . import types as ty
 from .instructions import (
@@ -36,83 +36,6 @@ def verify_module(module: Module) -> None:
     errors: List[str] = []
     for fn in module.functions.values():
         errors.extend(_verify_function(fn, module))
-    if errors:
-        raise VerificationError(errors)
-
-
-def verify_modules(modules: Sequence[Module]) -> None:
-    """Multi-module linkage check (each module is also verified alone).
-
-    Rejects, with an error naming both offending modules:
-
-    - duplicate *strong* definitions: two modules both defining a
-      non-``internal`` symbol of the same name;
-    - type-mismatched def/decl pairs: a declaration whose type differs
-      from the definition another module provides.  Unprototyped
-      function declarations (empty C89 parameter list, printed with
-      ``...``) are compatible with any function definition.
-
-    ``static`` (internal linkage) symbols are invisible across modules
-    and never participate.
-    """
-    errors: List[str] = []
-    for module in modules:
-        for fn in module.functions.values():
-            errors.extend(_verify_function(fn, module))
-
-    # symbol name → (module name, printed type, is function)
-    defs: Dict[str, Tuple[str, str, bool]] = {}
-    decls: Dict[str, List[Tuple[str, str, bool]]] = {}
-    for module in modules:
-        for gv in module.globals.values():
-            if gv.linkage == "internal":
-                continue
-            entry = (module.name, str(gv.value_type), False)
-            if gv.is_imported:
-                decls.setdefault(gv.name, []).append(entry)
-            elif gv.name in defs:
-                errors.append(
-                    f"duplicate definition of @{gv.name} in modules"
-                    f" '{defs[gv.name][0]}' and '{module.name}'"
-                )
-            else:
-                defs[gv.name] = entry
-        for fn in module.functions.values():
-            if fn.linkage == "internal":
-                continue
-            entry = (module.name, str(fn.func_type), True)
-            if fn.is_declaration:
-                decls.setdefault(fn.name, []).append(entry)
-            elif fn.name in defs:
-                errors.append(
-                    f"duplicate definition of @{fn.name} in modules"
-                    f" '{defs[fn.name][0]}' and '{module.name}'"
-                )
-            else:
-                defs[fn.name] = entry
-
-    for name, decl_list in decls.items():
-        if name not in defs:
-            continue
-        def_module, def_type, def_is_fn = defs[name]
-        for decl_module, decl_type, decl_is_fn in decl_list:
-            if decl_is_fn != def_is_fn:
-                what = "function" if def_is_fn else "variable"
-                other = "function" if decl_is_fn else "variable"
-                errors.append(
-                    f"symbol kind mismatch for @{name}: {what} definition"
-                    f" in module '{def_module}', {other} declaration in"
-                    f" module '{decl_module}'"
-                )
-            elif decl_type != def_type and not (
-                decl_is_fn and "..." in decl_type
-            ):
-                errors.append(
-                    f"type mismatch for @{name}: defined as {def_type} in"
-                    f" module '{def_module}', declared as {decl_type} in"
-                    f" module '{decl_module}'"
-                )
-
     if errors:
         raise VerificationError(errors)
 

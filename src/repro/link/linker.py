@@ -5,9 +5,8 @@ artifacts) into one joint program, in three steps:
 
 1. **Symbol resolution.**  Non-``internal`` symbols are grouped by name.
    At most one occurrence may be a definition (two strong definitions is
-   a link error naming both modules, mirroring
-   :func:`repro.ir.verifier.verify_modules`); declarations whose printed
-   type conflicts with the definition's are rejected the same way.
+   a link error naming both modules); declarations whose printed type
+   conflicts with the definition's are rejected the same way.
    Unprototyped declarations (``i32(...)``) are compatible with any
    definition, like a C89 implicit declaration.
 

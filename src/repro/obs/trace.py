@@ -74,9 +74,12 @@ class TraceWriter:
 
     Accepts a path or any text file object (left open — the caller owns
     it).  A path target is written through a same-directory temporary
-    file that :meth:`close` renames into place, so a run that dies
-    mid-trace never leaves a partial file under the requested name
-    (matching the driver cache's atomic-write discipline).
+    file that :meth:`close` renames into place and :meth:`discard`
+    deletes, so a run that dies mid-trace never leaves a partial file
+    under the requested name (matching the driver cache's atomic-write
+    discipline).  As a context manager the writer closes when its block
+    completes and discards when the block raises.  Either call ends the
+    trace; a later one does nothing.
     """
 
     def __init__(self, target: Union[str, os.PathLike, io.TextIOBase]):
@@ -115,18 +118,37 @@ class TraceWriter:
             self.events += 1
 
     def close(self) -> None:
-        self._file.flush()
-        if self._owns:
-            self._file.close()
+        """Publish the trace: a path target is renamed into place."""
+        self._release()
         if self._tmp_path is not None:
             os.replace(self._tmp_path, self._final_path)
             self._tmp_path = None
 
+    def discard(self) -> None:
+        """Drop an unfinished trace: a path target's temporary file is
+        deleted, and nothing appears under the requested name."""
+        self._release()
+        if self._tmp_path is not None:
+            try:
+                os.unlink(self._tmp_path)
+            except FileNotFoundError:
+                pass
+            self._tmp_path = None
+
+    def _release(self) -> None:
+        if self._owns:
+            self._file.close()  # flushes; a second close does nothing
+        else:
+            self._file.flush()
+
     def __enter__(self) -> "TraceWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
 
 
 # ----------------------------------------------------------------------

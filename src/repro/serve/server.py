@@ -143,7 +143,6 @@ class AnalysisServer:
         trace: Optional[TraceWriter] = None,
         workers: int = 1,
         state_dir=None,
-        project_factory: Optional[Callable[[], Project]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
@@ -158,12 +157,13 @@ class AnalysisServer:
         #: in-flight request, answer it, then stop reading
         self.closing = False
         default = project if project is not None else Project()
-        self._project_factory = project_factory or (
-            lambda: Project(
-                config=default.config,
-                options=default.options,
-                registry=self.registry,
-            )
+        #: every other tenant, opened or restored, is built like the
+        #: default project and shares its stage cache
+        self._tenant = dict(
+            config=default.config,
+            options=default.options,
+            cache=default.pipeline.cache,
+            registry=self.registry,
         )
         self._projects: Dict[str, ProjectState] = {}
         self._projects_lock = threading.Lock()
@@ -226,7 +226,7 @@ class AnalysisServer:
             state = self._projects.get(project_id)
             if state is None:
                 state = ProjectState(
-                    project_id, self._project_factory(), self.memo_entries
+                    project_id, Project(**self._tenant), self.memo_entries
                 )
                 self._projects[project_id] = state
             return state
@@ -239,15 +239,9 @@ class AnalysisServer:
         """Warm-start every valid persisted project from ``state_dir``."""
         from .state import StateError, list_state_files, load_project
 
-        default = self._projects[DEFAULT_PROJECT].project
         for path in list_state_files(self.state_dir):
             try:
-                project_id, restored = load_project(
-                    path,
-                    config=default.config,
-                    options=default.options,
-                    registry=self.registry,
-                )
+                project_id, restored = load_project(path, **self._tenant)
             except StateError as exc:
                 self.state_counts["invalid"] += 1
                 self.registry.add("serve.state.invalid")

@@ -12,8 +12,9 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
+from repro.analysis import build_constraints
 from repro.driver import SolveTask, solve_tasks, source_digest, validate_agreement
-from repro.driver.tasks import context_for
+from repro.frontend import compile_c
 
 HASHTABLE = (
     pathlib.Path(__file__).resolve().parents[2] / "examples" / "corpus" / "hashtable.c"
@@ -29,6 +30,11 @@ def test_mixed_reduce_sweep_exits_zero(capsys):
 @pytest.fixture(scope="module")
 def solved():
     source = HASHTABLE.read_text()
+    programs = {
+        source_digest(source): build_constraints(
+            compile_c(source, HASHTABLE.name)
+        ).program
+    }
     names = ["IP+WL(FIFO)", "IP+Naive", "IP+Reduce+WL(FIFO)"]
     tasks = [
         SolveTask(
@@ -36,14 +42,12 @@ def solved():
             file_name=HASHTABLE.name,
             source_hash=source_digest(source),
             config_name=name,
-            source=source,
             repetitions=1,
         )
         for i, name in enumerate(names)
     ]
-    results, _ = solve_tasks(tasks)
-    in_m = context_for(tasks[0]).program.in_m
-    return tasks, results, in_m
+    results, _ = solve_tasks(tasks, programs)
+    return tasks, results, programs
 
 
 def _tampered(results, index, in_m, memory):
@@ -57,19 +61,28 @@ def _tampered(results, index, in_m, memory):
     raise AssertionError("no such pointer")
 
 
+def in_m_of(programs):
+    (program,) = programs.values()
+    return program.in_m
+
+
 def test_untouched_results_agree(solved):
-    tasks, results, _ = solved
-    validate_agreement(results, tasks)
+    tasks, results, programs = solved
+    validate_agreement(results, tasks, programs)
 
 
 def test_memory_location_disagreement_raises(solved):
-    tasks, results, in_m = solved
+    tasks, results, programs = solved
+    tampered = _tampered(results, 2, in_m_of(programs), memory=True)
     with pytest.raises(AssertionError, match="IP\\+Reduce\\+WL\\(FIFO\\) disagrees"):
-        validate_agreement(_tampered(results, 2, in_m, memory=True), tasks)
+        validate_agreement(tampered, tasks, programs)
 
 
 def test_temporaries_compared_only_on_one_side_of_the_axis(solved):
-    tasks, results, in_m = solved
-    validate_agreement(_tampered(results, 2, in_m, memory=False), tasks)
+    tasks, results, programs = solved
+    in_m = in_m_of(programs)
+    validate_agreement(_tampered(results, 2, in_m, memory=False), tasks, programs)
     with pytest.raises(AssertionError, match="IP\\+Naive disagrees"):
-        validate_agreement(_tampered(results, 1, in_m, memory=False), tasks)
+        validate_agreement(
+            _tampered(results, 1, in_m, memory=False), tasks, programs
+        )

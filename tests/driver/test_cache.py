@@ -8,16 +8,18 @@ import os
 
 import pytest
 
-from repro.analysis import parse_name, run_configuration
+from repro.analysis import build_constraints, parse_name, run_configuration
 from repro.analysis.solution import Solution
 from repro.analysis.testing import random_program
 from repro.driver import (
+    Programs,
     ResultCache,
     SolveTask,
     execute_task,
     solve_tasks,
     source_digest,
 )
+from repro.frontend import compile_c
 
 SOURCE_A = """
 static int x;
@@ -27,6 +29,12 @@ void f(void) { int *q = getp(); }
 """
 
 SOURCE_B = SOURCE_A + "\nint extra_global;\n"
+
+#: each source's program, keyed as tasks name it
+PROGRAMS = {
+    source_digest(source): build_constraints(compile_c(source, "t.c")).program
+    for source in (SOURCE_A, SOURCE_B)
+}
 
 
 def make_task(
@@ -41,7 +49,6 @@ def make_task(
         file_name="t.c",
         source_hash=source_digest(source),
         config_name=config,
-        source=source,
         repetitions=repetitions,
         timing=timing,
     )
@@ -123,7 +130,7 @@ class TestCacheKey:
 
 class TestCacheBehaviour:
     def solve(self, task, cache):
-        results, stats = solve_tasks([task], cache=cache)
+        results, stats = solve_tasks([task], PROGRAMS, cache=cache)
         return results[0], stats
 
     def test_miss_store_hit(self, tmp_path):
@@ -131,11 +138,17 @@ class TestCacheBehaviour:
         task = make_task()
         cold, _ = self.solve(task, cache)
         assert not cold.from_cache
-        assert (cache.stats.misses, cache.stats.stores) == (1, 1)
+        stats = cache.stats_for("task")
+        assert (stats.misses, stats.stores) == (1, 1)
         warm, _ = self.solve(task, ResultCache(tmp_path))
         assert warm.from_cache
         assert warm.solution == cold.solution
         assert warm.runtime_s == cold.runtime_s
+
+    def test_entries_live_in_the_task_stage(self, tmp_path):
+        self.solve(make_task(), ResultCache(tmp_path))
+        assert len(list((tmp_path / "stages" / "task").glob("*/*.json"))) == 1
+        assert not (tmp_path / "solve").exists()
 
     def test_invalidation_axes(self, tmp_path):
         self.solve(make_task(), ResultCache(tmp_path))
@@ -147,7 +160,8 @@ class TestCacheBehaviour:
             cache = ResultCache(tmp_path)
             result, _ = self.solve(variant, cache)
             assert not result.from_cache
-            assert cache.stats.hits == 0 and cache.stats.misses == 1
+            stats = cache.stats_for("task")
+            assert stats.hits == 0 and stats.misses == 1
 
     def test_reduce_flip_is_a_miss_never_a_stale_hit(self, tmp_path):
         """Regression lock for the ``reduce`` configuration axis: a
@@ -158,7 +172,8 @@ class TestCacheBehaviour:
         cache = ResultCache(tmp_path)
         on, _ = self.solve(make_task(config="IP+Reduce+WL(FIFO)"), cache)
         assert not on.from_cache
-        assert cache.stats.hits == 0 and cache.stats.misses == 1
+        stats = cache.stats_for("task")
+        assert stats.hits == 0 and stats.misses == 1
         # Both entries now coexist and warm-replay independently.
         warm_off, _ = self.solve(make_task(), ResultCache(tmp_path))
         warm_on, _ = self.solve(
@@ -185,15 +200,15 @@ class TestCacheBehaviour:
         cache = ResultCache(tmp_path)
         task = make_task()
         fresh, _ = self.solve(task, cache)
-        entry = cache._path(task.cache_key())
+        entry = cache._stage_path("task", task.cache_key())
         assert entry.exists()
         entry.write_text(garbage)
 
         healed_cache = ResultCache(tmp_path)
         result, _ = self.solve(task, healed_cache)
         assert not result.from_cache
-        assert healed_cache.stats.corrupted == 1
-        assert healed_cache.stats.misses == 1
+        assert healed_cache.stats_for("task").corrupted == 1
+        assert healed_cache.stats_for("task").misses == 1
         assert result.solution == fresh.solution
         # The bad entry was replaced by a good one.
         rewarm, _ = self.solve(task, ResultCache(tmp_path))
@@ -205,7 +220,7 @@ class TestCacheBehaviour:
         cache = ResultCache(tmp_path)
         task = make_task()
         cold, _ = self.solve(task, cache)
-        path = cache._path(task.cache_key())
+        path = cache._stage_path("task", task.cache_key())
         head, body = path.read_text().split("\n", 1)
         entry = json.loads(body)
         external = entry["solution"]["external"]
@@ -216,7 +231,7 @@ class TestCacheBehaviour:
         healed_cache = ResultCache(tmp_path)
         result, _ = self.solve(task, healed_cache)
         assert not result.from_cache
-        assert healed_cache.stats.corrupted == 1
+        assert healed_cache.stats_for("task").corrupted == 1
         assert result.solution == cold.solution
 
     def test_duplicate_tasks_are_coalesced(self, tmp_path):
@@ -230,21 +245,23 @@ class TestCacheBehaviour:
             make_task(timing="wall", index=2),  # duplicate of index 0
         ]
         cache = ResultCache(tmp_path)
-        results, stats = solve_tasks(tasks, cache=cache)
+        results, stats = solve_tasks(tasks, PROGRAMS, cache=cache)
         assert stats.solved == 2
-        assert cache.stats.stores == 2
+        assert cache.stats_for("task").stores == 2
         first, _, echo = results
         assert echo.index == 2
         assert echo.runtime_s == first.runtime_s
         assert echo.solution is first.solution
 
-        warm, warm_stats = solve_tasks(tasks, cache=ResultCache(tmp_path))
+        warm, warm_stats = solve_tasks(
+            tasks, PROGRAMS, cache=ResultCache(tmp_path)
+        )
         assert warm_stats.solved == 0
         assert [r.runtime_s for r in warm] == [r.runtime_s for r in results]
 
     def test_cached_solution_matches_direct_solve(self, tmp_path):
         task = make_task(config="EP+OVS+WL(LRF)+OCD")
-        direct = execute_task(task)
+        direct = execute_task(task, Programs(PROGRAMS))
         cache = ResultCache(tmp_path)
         self.solve(task, cache)
         warm, _ = self.solve(task, ResultCache(tmp_path))
@@ -260,23 +277,23 @@ class TestNarrowedErrorHandling:
     def test_undecodable_bytes_count_corrupted_and_heal(self, tmp_path):
         cache = ResultCache(tmp_path)
         task = make_task()
-        solve_tasks([task], cache=cache)
-        entry = cache._path(task.cache_key())
+        solve_tasks([task], PROGRAMS, cache=cache)
+        entry = cache._stage_path("task", task.cache_key())
         entry.write_bytes(b"\xff\xfe\x00 not utf-8")
 
         healed = ResultCache(tmp_path)
-        assert healed.load(task) is None
-        assert healed.stats.corrupted == 1
-        assert healed.stats.misses == 1
+        assert healed.load_stage("task", task.cache_key()) is None
+        assert healed.stats_for("task").corrupted == 1
+        assert healed.stats_for("task").misses == 1
         assert not entry.exists()
 
     def test_directory_squatting_on_entry_counts_corrupted(self, tmp_path):
         cache = ResultCache(tmp_path)
         task = make_task()
-        entry = cache._path(task.cache_key())
+        entry = cache._stage_path("task", task.cache_key())
         entry.mkdir(parents=True)
-        assert cache.load(task) is None
-        assert cache.stats.corrupted == 1
+        assert cache.load_stage("task", task.cache_key()) is None
+        assert cache.stats_for("task").corrupted == 1
 
     def test_unexpected_oserror_propagates(self):
         """PermissionError (or any OSError that is neither a miss nor
@@ -287,11 +304,11 @@ class TestNarrowedErrorHandling:
             def read_text(self):
                 raise PermissionError("cache dir unreadable")
 
-        cache = ResultCache()
+        stats = ResultCache().stats_for("task")
         with pytest.raises(PermissionError):
-            ResultCache._read_entry(DenyingPath(), cache.stats)
-        assert cache.stats.misses == 0
-        assert cache.stats.corrupted == 0
+            ResultCache._read_entry(DenyingPath(), stats)
+        assert stats.misses == 0
+        assert stats.corrupted == 0
 
     def test_stage_garbage_counts_in_stage_stats(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -305,7 +322,7 @@ class TestNarrowedErrorHandling:
         assert stats.misses == 1
         assert not path.exists()
         # Solve-task counters are untouched by stage-entry corruption.
-        assert fresh.stats.corrupted == 0
+        assert fresh.stats_for("task").corrupted == 0
 
     def test_stage_decode_bug_propagates(self, tmp_path):
         """A decoder raising anything but ValueError/KeyError/TypeError
@@ -410,14 +427,15 @@ class TestMaxEntriesLRU:
             make_task(config="EP+Naive"),
         ]
         for age, task in zip((3000, 2000, 1000), tasks):
-            result = execute_task(task)
-            cache.store(task, result)
-            self.set_age(cache._path(task.cache_key()), seconds=age)
-        assert cache.stats.evicted == 1
-        assert cache.load(tasks[0]) is None  # stalest
-        assert cache.load(tasks[2]) is not None
+            solve_tasks([task], PROGRAMS, cache=cache)
+            self.set_age(
+                cache._stage_path("task", task.cache_key()), seconds=age
+            )
+        assert cache.stats_for("task").evicted == 1
+        assert cache.load_stage("task", tasks[0].cache_key()) is None  # stalest
+        assert cache.load_stage("task", tasks[2].cache_key()) is not None
         # Warm loads still replay identically through the bound.
-        warm, _ = solve_tasks([tasks[2]], cache=cache)
+        warm, _ = solve_tasks([tasks[2]], PROGRAMS, cache=cache)
         assert warm[0].from_cache
 
     def test_evicted_surfaces_in_wire_and_text_forms(self, tmp_path):

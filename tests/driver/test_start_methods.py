@@ -1,6 +1,7 @@
 """Pool start-method tests: fork preferred, spawn supported, and the
-two produce byte-identical results (ISSUE 4 satellite — spawn-safe
-worker state via the pool initializer)."""
+two produce byte-identical results: the pool initializer hands every
+worker the caller's programs, inherited under fork and pickled under
+spawn."""
 
 import json
 import multiprocessing
@@ -9,7 +10,7 @@ import pytest
 
 from repro.bench.runner import build_tasks
 from repro.bench.suite import build_corpus, flatten
-from repro.driver import solve_tasks
+from repro.driver import solve_tasks, source_digest
 from repro.driver.pool import _pool_context
 
 CONFIGS = ["EP+Naive", "IP+WL(FIFO)+PIP"]
@@ -28,6 +29,11 @@ def corpus_files():
             profiles=["505.mcf"],
         )
     )
+
+
+@pytest.fixture(scope="module")
+def programs(corpus_files):
+    return {source_digest(f.source): f.program for f in corpus_files}
 
 
 def canonical(results):
@@ -64,16 +70,18 @@ class TestContextSelection:
 
 class TestStartMethodDeterminism:
     @pytest.fixture(scope="class")
-    def serial(self, corpus_files):
+    def serial(self, corpus_files, programs):
         tasks = build_tasks(corpus_files, CONFIGS, 1, timing="cost")
-        results, _ = solve_tasks(tasks)
+        results, _ = solve_tasks(tasks, programs)
         return canonical(results)
 
     @pytest.mark.parametrize("method", AVAILABLE)
     def test_jobs_2_byte_identical_under_each_method(
-        self, corpus_files, serial, method
+        self, corpus_files, programs, serial, method
     ):
         tasks = build_tasks(corpus_files, CONFIGS, 1, timing="cost")
-        results, stats = solve_tasks(tasks, jobs=2, start_method=method)
+        results, stats = solve_tasks(
+            tasks, programs, jobs=2, start_method=method
+        )
         assert canonical(results) == serial
         assert stats.solved == len(tasks)

@@ -7,10 +7,24 @@ CLI exits 1 with one diagnostic, and the server answers ``build_error``
 with the file and line.
 """
 
+import pickle
+
 import pytest
 
 from repro.__main__ import main
-from repro.frontend import compile_c
+from repro.frontend import (
+    FRONTEND_ERRORS,
+    ConstraintTextError,
+    LexError,
+    LowerError,
+    ParseError,
+    PreprocessorError,
+    SemaError,
+    compile_c,
+    describe_error,
+    error_line,
+)
+from repro.interchange import parse_constraint_text
 from repro.serve import AnalysisServer, InProcessClient, Project
 
 #: name → (source, line of the diagnostic, a fragment of its message)
@@ -100,6 +114,45 @@ def test_server_answers_build_error(case):
     assert error["details"] == {"file": "bad.c", "line": line}
     assert error["message"].startswith(f"bad.c:{line}: ")
     assert fragment in error["message"]
+
+
+#: one real input per member of FRONTEND_ERRORS: class → (file, text)
+PICKLE_CASES = {
+    PreprocessorError: ("pre.c", '#include "missing.h"\n'),
+    LexError: ("lex.c", "int a;\nint x = 1 @ 2;\n"),
+    ParseError: ("parse.c", "int a;\nfoo bar;\n"),
+    SemaError: ("sema.c", "int f(void) { return y; }\n"),
+    LowerError: ("lower.c", "int a;\nint *p = 5;\n"),
+    ConstraintTextError: ("text.lir", "garbage here\n"),
+}
+
+
+def test_every_frontend_error_has_a_pickle_case():
+    assert set(PICKLE_CASES) == set(FRONTEND_ERRORS)
+
+
+@pytest.mark.parametrize(
+    "cls", list(PICKLE_CASES), ids=lambda cls: cls.__name__
+)
+def test_frontend_error_survives_pickling(cls):
+    """A process pool pickles a worker's exception back to the parent; a
+    class that cannot be rebuilt from its pickle kills the pool's result
+    thread instead."""
+    name, text = PICKLE_CASES[cls]
+    with pytest.raises(cls) as info:
+        if name.endswith(".lir"):
+            parse_constraint_text(text, name)
+        else:
+            compile_c(text, name)
+    exc = info.value
+    exc.source_name = name  # attached the way the CLI and pipeline do
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc)
+    assert error_line(back) == error_line(exc) > 0
+    assert vars(back) == vars(exc)  # column or token, and source_name
+    assert describe_error(back) == describe_error(exc)
+    assert describe_error(back).startswith(f"{name}:")
 
 
 class TestStillAccepted:

@@ -225,6 +225,30 @@ class TestNoPartialOutputFiles:
         assert capsys.readouterr().err.startswith("repro: error: ")
         self.check_no_leftovers(target.parent)
 
+    @pytest.mark.parametrize(
+        "command",
+        [["link"], ["audit", "escape"], ["constraints", "export"], ["sweep"]],
+        ids=lambda command: "-".join(command),
+    )
+    def test_frontend_error_leaves_no_trace(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.c"
+        bad.write_text("foo bar;\n")
+        trace = tmp_path / "trace.jsonl"
+        assert main([*command, str(bad), "--trace-out", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err == "repro: error: bad.c:1: expected type specifier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.c"]
+
+    def test_link_error_leaves_no_trace(self, tmp_path, capsys):
+        inputs = [tmp_path / "a.c", tmp_path / "b.c"]
+        for path in inputs:
+            path.write_text("int twice;\n")
+        trace = tmp_path / "trace.jsonl"
+        argv = ["link", *map(str, inputs), "--trace-out", str(trace)]
+        assert main(argv) == 1
+        assert "duplicate definition" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.c", "b.c"]
+
     def test_trace_crash_leaves_no_file(self, tmp_path):
         """TraceWriter only publishes the file on clean close."""
         from repro.obs import TraceWriter

@@ -69,6 +69,23 @@ class TestSymbolResolution:
         assert "type mismatch for symbol 'f'" in message
         assert "'a.c'" in message and "'b.c'" in message
 
+    def test_global_type_mismatch_rejected(self):
+        a = program_of("a.c", "int g;\n")
+        b = program_of("b.c", "extern int *g;\nint *rb(void) { return g; }\n")
+        with pytest.raises(LinkError) as exc:
+            link_programs([a, b])
+        (message,) = exc.value.errors
+        assert "type mismatch for symbol 'g'" in message
+        assert "'a.c'" in message and "'b.c'" in message
+
+    def test_one_definition_many_declarations(self):
+        a = program_of("a.c", "int counter;\n")
+        b = program_of("b.c", "extern int counter;\nint rb(void) { return counter; }\n")
+        c = program_of("c.c", "extern int counter;\nint rc(void) { return counter; }\n")
+        resolution = link_programs([a, b, c]).resolutions["counter"]
+        assert resolution.defined_in == "a.c"
+        assert list(resolution.referenced_by) == ["b.c", "c.c"]
+
     def test_unprototyped_declaration_is_lenient(self):
         # C89 `extern int f();` matches any definition of f.
         a = program_of("a.c", "int f(int *p) { return *p; }\n")

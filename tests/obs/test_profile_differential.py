@@ -11,9 +11,9 @@ import io
 
 import pytest
 
-from repro.bench.runner import build_contexts, build_tasks, run_experiment
+from repro.bench.runner import build_tasks, run_experiment
 from repro.bench.suite import build_corpus, flatten
-from repro.driver import ResultCache, solve_tasks
+from repro.driver import ResultCache, solve_tasks, source_digest
 from repro.obs import Registry, TraceWriter, validate_trace_text
 
 CONFIGS = [
@@ -94,9 +94,9 @@ class TestTraceReplaysSolverStats:
         buf = io.StringIO()
         trace = TraceWriter(buf)
         tasks = build_tasks(corpus_files, CONFIGS, 1, timing="cost")
+        programs = {source_digest(f.source): f.program for f in corpus_files}
         results, _ = solve_tasks(
-            tasks, contexts=build_contexts(corpus_files),
-            registry=registry, trace=trace,
+            tasks, programs, registry=registry, trace=trace
         )
         trace.close()
         solves = [

@@ -51,6 +51,21 @@ class TestWriter:
         assert len(read_trace(path)) == 1
         assert writer._file.closed
 
+    def test_block_that_raises_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with TraceWriter(tmp_path / "t.jsonl") as writer:
+                writer.emit("stage", "constraints", {"runs": 1})
+                raise RuntimeError("the run died mid-trace")
+        assert list(tmp_path.iterdir()) == []
+        assert writer._file.closed
+
+    def test_discarded_trace_stays_discarded(self, tmp_path):
+        writer = TraceWriter(tmp_path / "t.jsonl")
+        writer.emit("stage", "constraints", {"runs": 1})
+        writer.discard()
+        writer.close()  # a later close publishes nothing
+        assert list(tmp_path.iterdir()) == []
+
     def test_canonical_line_encoding(self):
         buf = io.StringIO()
         TraceWriter(buf).emit("link", "a.c+b.c", {"b": 2, "a": 1})

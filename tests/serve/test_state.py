@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.analysis.config import parse_name
+from repro.driver import ResultCache
 from repro.link import LinkOptions
 from repro.obs import Registry
 from repro.serve import (
@@ -237,3 +238,32 @@ class TestServerWarmStart:
         reborn = AnalysisServer(Project(), state_dir=tmp_path)
         assert reborn.project.is_open
         assert reborn.project.generation == 1
+
+
+class TestTenantsShareTheStageCache:
+    """Every tenant, restored or opened, builds through the default
+    project's stage cache."""
+
+    def test_restored_project_updates_through_the_cache(self, tmp_path):
+        state_dir = tmp_path / "state"
+        server = AnalysisServer(
+            Project(cache=ResultCache(tmp_path / "cache")), state_dir=state_dir
+        )
+        InProcessClient(server).call("open", {"files": {"a.c": A, "b.c": B}})
+
+        cache = ResultCache(tmp_path / "cache")
+        reborn = AnalysisServer(Project(cache=cache), state_dir=state_dir)
+        assert reborn.state_counts["loads"] == 1
+        InProcessClient(reborn).call(
+            "update", {"files": {"b.c": B + "\nint z;\n"}}
+        )
+        assert cache.stats_for("constraints").misses == 1
+
+    def test_second_project_hits_the_first_ones_entries(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        server = AnalysisServer(Project(cache=cache))
+        files = {"a.c": A, "b.c": B}
+        InProcessClient(server).call("open", {"files": files})
+        hits = cache.stats_for("constraints").hits
+        InProcessClient(server, project="second").call("open", {"files": files})
+        assert cache.stats_for("constraints").hits - hits == len(files)
