@@ -694,6 +694,20 @@ def _serve_components(args):
 def cmd_serve(args) -> int:
     from .serve import serve_stdio, serve_tcp
 
+    # A usage error costs nothing: the address is checked before any
+    # member is built or any state is written.
+    address = None
+    if args.tcp is not None:
+        host, _, port_text = args.tcp.rpartition(":")
+        try:
+            address = (host or "127.0.0.1", int(port_text))
+        except ValueError:
+            print(
+                f"repro: error: bad --tcp address {args.tcp!r}"
+                " (expected HOST:PORT)",
+                file=sys.stderr,
+            )
+            return 2
     project, server, trace = _serve_components(args)
     with _traced(trace):
         if args.files:
@@ -706,19 +720,7 @@ def cmd_serve(args) -> int:
             with state.write_lock:
                 state.project.open(_read_project_files(args.files))
                 server._persist(state)
-        if args.tcp is not None:
-            host, _, port_text = args.tcp.rpartition(":")
-            try:
-                port = int(port_text)
-            except ValueError:
-                print(
-                    f"repro: error: bad --tcp address {args.tcp!r}"
-                    " (expected HOST:PORT)",
-                    file=sys.stderr,
-                )
-                if trace is not None:
-                    trace.discard()
-                return 2
+        if address is not None:
 
             def ready(bound_host: str, bound_port: int) -> None:
                 # The banner goes to stderr: on --stdio, stdout *is*
@@ -729,9 +731,7 @@ def cmd_serve(args) -> int:
                     flush=True,
                 )
 
-            status = serve_tcp(
-                server, host or "127.0.0.1", port, ready=ready
-            )
+            status = serve_tcp(server, *address, ready=ready)
         else:
             status = serve_stdio(server)
     if trace is not None:

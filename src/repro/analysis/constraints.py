@@ -402,10 +402,10 @@ class ConstraintProgram:
 
     def num_constraints(self) -> int:
         """|C|: total number of stored constraints (flags included)."""
-        n = sum(len(s) for s in self.base)
-        n += sum(len(s) for s in self.simple_out)
-        n += sum(len(l) for l in self.load_from)
-        n += sum(len(l) for l in self.store_into)
+        n = sum(map(len, self.base))
+        n += sum(map(len, self.simple_out))
+        n += sum(map(len, self.load_from))
+        n += sum(map(len, self.store_into))
         n += len(self.funcs) + len(self.calls)
         for flags in (
             self.flag_ea,

@@ -31,11 +31,42 @@ the solver hot paths *and* define the propagation-accounting unit: both
 return the number of pointees that newly arrived at the destination, so
 the DP and non-DP paths of every solver count the same unit of work by
 construction (see :class:`~repro.analysis.solution.SolverStats`).
+
+Each backend also has one immutable empty value,
+:attr:`PTSBackend.shared_empty`.  A solver state holds it in every empty
+Sol_e / ΔSol row (:meth:`PTSBackend.copy_rows`), so an empty row costs
+no container and "is this row empty" is an identity test.  It reads as
+an empty value of the backend's type; any in-place write to it raises
+instead of rebinding or mutating it, so a writer must first swap a
+fresh value into the row (``SolverState.grow``).
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Iterable
+
+
+def refuse_write(self, *args):
+    """The in-place operators of a backend's shared empty value."""
+    raise TypeError(
+        "the shared empty pointee set is immutable: write to a Sol row"
+        " through SolverState.grow"
+    )
+
+
+class FrozenEmpty(frozenset):
+    """An empty frozenset whose in-place operators raise.
+
+    A plain frozenset would answer ``s |= t`` by rebinding ``s`` to a
+    new frozenset, silently; this one raises, like its (absent)
+    ``add`` and ``discard`` do.  Its binary operators return plain
+    frozensets, which only ever reach read-only positions.
+    """
+
+    __slots__ = ()
+
+    __ior__ = __isub__ = __iand__ = __ixor__ = refuse_write
 
 
 class PTSBackend:
@@ -43,6 +74,8 @@ class PTSBackend:
 
     #: registry / CLI name of the backend
     name: str = "<abstract>"
+    #: the one immutable empty value of every empty Sol_e / ΔSol row
+    shared_empty: Any = None
 
     # -- construction --------------------------------------------------
 
@@ -58,15 +91,15 @@ class PTSBackend:
         """An independent mutable copy of ``s``."""
         raise NotImplementedError
 
-    def copy_rows(self, rows: Iterable[Iterable[int]]) -> list:
-        """One mutable set per row — the SolverState bulk initialiser.
-
-        Semantically ``[self.from_iter(r) for r in rows]``; backends
-        override it to build all rows in one native pass (state
-        construction is a fixed per-solve cost, so this matters for the
-        small/offline-reduced programs where solving itself is cheap).
-        """
-        return [self.from_iter(r) for r in rows]
+    def copy_rows(self, rows: list) -> list:
+        """One value per row — the SolverState bulk initialiser: a
+        mutable value of its own for a non-empty row, the shared empty
+        value for an empty one (most rows), which takes no Python
+        step."""
+        out = [self.shared_empty] * len(rows)
+        for v in compress(range(len(rows)), rows):
+            out[v] = self.from_iter(rows[v])
+        return out
 
     def mask(self, items: Iterable[int]) -> Any:
         """An immutable filter value for use as ``S & mask`` / ``S - mask``."""

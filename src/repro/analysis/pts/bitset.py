@@ -34,14 +34,17 @@ unpacked value: the operation memo and extraction's freeze cache serve
 packed values only.
 
 ``Bitset`` is mutable (the wrapper is the identity solvers alias and
-share); like ``set`` it is therefore unhashable.
+share); like ``set`` it is therefore unhashable.  The backend's shared
+empty value (:data:`SHARED_EMPTY`) is the one exception: an unpacked
+value over a :class:`~repro.analysis.pts.base.FrozenEmpty` whose every
+write raises.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Set
 
-from .base import PTSBackend
+from .base import FrozenEmpty, PTSBackend, refuse_write
 
 #: A value packs once it holds more than this many members.  Picked on
 #: the linked 557.xz program (internals §4): no IP Sol set there holds
@@ -328,8 +331,37 @@ class Bitset:
         return f"Bitset({{{', '.join(map(str, self))}}})"
 
 
+class _SharedEmpty(Bitset):
+    """The backend's one immutable empty value.
+
+    It reads as an empty unpacked value.  Its attributes cannot be set,
+    so ``|=``, ``-=``, ``&=`` and the fused helpers raise on it, and
+    its container has no ``add``; on the left of a binary operator a
+    fresh empty value stands in, so the result is a value of its own.
+    """
+
+    __slots__ = ()
+
+    __setattr__ = refuse_write
+
+    def __or__(self, other) -> Bitset:
+        return _small(set()) | other
+
+    def __sub__(self, other) -> Bitset:
+        return _small(set())
+
+    __and__ = __sub__
+
+
+#: the shared empty value of every empty Sol_e / ΔSol row
+SHARED_EMPTY = _new(_SharedEmpty)
+object.__setattr__(SHARED_EMPTY, "members", FrozenEmpty())
+object.__setattr__(SHARED_EMPTY, "bits", None)
+
+
 class BitsetBackend(PTSBackend):
     name = "bitset"
+    shared_empty = SHARED_EMPTY
 
     def empty(self) -> Bitset:
         return _small(set())
@@ -341,10 +373,7 @@ class BitsetBackend(PTSBackend):
         members = s.members
         if members is None:
             return _packed(s.bits)
-        return _small(members.copy())
-
-    def copy_rows(self, rows) -> list:
-        return list(map(_settled, map(set, rows)))
+        return _small(set(members))
 
     def mask(self, items: Iterable[int]) -> Mask:
         return Mask(items)

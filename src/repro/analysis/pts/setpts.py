@@ -9,29 +9,21 @@ before the ``pts`` layer existed.
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Set
 
-from .base import PTSBackend
+from .base import FrozenEmpty, PTSBackend
 
 
 class SetBackend(PTSBackend):
     name = "set"
+    shared_empty = FrozenEmpty()
 
-    def empty(self) -> Set[int]:
-        return set()
-
-    def from_iter(self, items: Iterable[int]) -> Set[int]:
-        return set(items)
-
-    def copy(self, s: Set[int]) -> Set[int]:
-        return set(s)
-
-    def copy_rows(self, rows) -> list:
-        # map + the C-level set constructor: no Python frame per row.
-        return list(map(set, rows))
-
-    def mask(self, items: Iterable[int]) -> frozenset:
-        return frozenset(items)
+    # The constructors are the builtins themselves, so building a value
+    # (state set-up, a Sol row's copy-on-write) costs no Python frame.
+    empty = staticmethod(set)
+    from_iter = staticmethod(set)
+    copy = staticmethod(set)
+    mask = staticmethod(frozenset)
 
     def equal(self, a: Set[int], b: Set[int]) -> bool:
         return a == b

@@ -49,8 +49,11 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
+from itertools import chain, compress, count, filterfalse
+from operator import and_, eq, lt, ne, or_
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .constraints import (
@@ -81,6 +84,8 @@ __all__ = [
 #: shared token for every ``p ⊒ Ω`` variable (all gain the same
 #: implicit pointees)
 PTE_TOKEN = ("pte",)
+#: the label of a variable with no tokens and no inflow
+_NO_TOKENS: FrozenSet = frozenset()
 
 
 # ----------------------------------------------------------------------
@@ -110,13 +115,16 @@ def offline_variable_labels(program: ConstraintProgram) -> List[int]:
     numbering over predecessor sets is what lets two variables merge
     when their *combined* inflows agree but arrive along different
     edges.
+
+    Only the nodes an edge touches enter the SCC search.  Any other
+    variable is an SCC of its own with no inflow, so its label is its
+    own tokens, interned directly; an indirect one's fresh token is
+    shared by nothing, so it just takes a value number of its own.
     """
     n = program.num_vars
+    base, pte = program.base, program.flag_pte
 
-    indirect = [False] * n
-    for v in range(n):
-        if program.in_m[v]:
-            indirect[v] = True  # store rules write into memory locations
+    indirect = list(program.in_m)  # store rules write into memory locations
     for fc in program.funcs:
         for a in fc.args:
             if a is not None:
@@ -125,67 +133,76 @@ def offline_variable_labels(program: ConstraintProgram) -> List[int]:
         if cc.ret is not None:
             indirect[cc.ret] = True  # CALL rule writes func returns here
 
-    # Offline graph: node v in [0, n); ref(v) = n + v.
-    adj: Dict[int, List[int]] = {}
+    # Offline graph: node v in [0, n) has v's simple out-edges, ref(v) =
+    # n + v has v's loads; most rows are the shared empty row.
+    succ = list(program.simple_out)
+    succ.extend(program.load_from)
+    touched = set(compress(range(2 * n), succ))
+    for row in filter(None, succ):
+        touched.update(row)
 
-    def edge(a: int, b: int) -> None:
-        adj.setdefault(a, []).append(b)
-
-    roots: Set[int] = set()
-    for src in range(n):
-        for dst in program.simple_out[src]:
-            edge(src, dst)
-            roots.add(src)
-            roots.add(dst)
-        for dst in program.load_from[src]:
-            edge(n + src, dst)
-            roots.add(n + src)
-            roots.add(dst)
-    roots.update(range(n))
-
-    sccs = strongly_connected_components(roots, lambda v: adj.get(v, ()))
+    intern: Dict[FrozenSet, int] = {}
+    labels = [0] * n
+    sccs = strongly_connected_components(touched, succ.__getitem__)
     # Tarjan emits SCCs in reverse topological order.
     sccs.reverse()
 
     # Accumulate labels forward through the condensation, interning
     # each distinct label to a dense value number.
-    intern: Dict[FrozenSet, int] = {}
     incoming: Dict[int, Set] = {}
-    vn_of: Dict[int, int] = {}
     for scc_id, scc in enumerate(sccs):
         label: Set = set()
         fresh_needed = False
         for node in scc:
-            label |= incoming.pop(node, set())
+            inflow = incoming.pop(node, None)
+            if inflow:
+                label |= inflow
             if node >= n or indirect[node]:
                 fresh_needed = True
             else:
-                for x in program.base[node]:
+                for x in base[node]:
                     label.add(("base", x))
-                if program.flag_pte[node]:
+                if pte[node]:
                     label.add(PTE_TOKEN)
         if fresh_needed:
             label.add(("fresh", scc_id))
         frozen = frozenset(label)
         vn = intern.setdefault(frozen, len(intern))
-        members = set(scc)
         for node in scc:
-            vn_of[node] = vn
+            if node < n:
+                labels[node] = vn
+        members = scc if len(scc) == 1 else set(scc)
         for node in scc:
-            for succ in adj.get(node, ()):
-                if succ not in members:  # cross-SCC edge
-                    incoming.setdefault(succ, set()).update(frozen)
+            for target in succ[node]:
+                if target not in members:  # cross-SCC edge
+                    incoming.setdefault(target, set()).update(frozen)
 
-    return [vn_of[v] for v in range(n)]
+    fresh: List[int] = []
+    for v in filterfalse(touched.__contains__, range(n)):
+        if indirect[v]:
+            fresh.append(v)
+        elif base[v] or pte[v]:
+            label = {("base", x) for x in base[v]}
+            if pte[v]:
+                label.add(PTE_TOKEN)
+            labels[v] = intern.setdefault(frozenset(label), len(intern))
+        else:
+            labels[v] = intern.setdefault(_NO_TOKENS, len(intern))
+    for v, vn in zip(fresh, count(len(intern))):
+        labels[v] = vn
+    return labels
 
 
 def pointer_equivalence_groups(program: ConstraintProgram) -> List[List[int]]:
     """Groups (each ≥ 2 variables, ascending) safe to pre-unify."""
     labels = offline_variable_labels(program)
+    # Only a variable whose label another shares takes a Python step.
+    sizes = Counter(labels)
+    shared = map(partial(lt, 1), map(sizes.__getitem__, labels))
     groups: Dict[int, List[int]] = {}
-    for v, vn in enumerate(labels):
-        groups.setdefault(vn, []).append(v)
-    return [g for g in groups.values() if len(g) >= 2]
+    for v in compress(range(len(labels)), shared):
+        groups.setdefault(labels[v], []).append(v)
+    return list(groups.values())
 
 
 # ----------------------------------------------------------------------
@@ -296,25 +313,15 @@ def _rewrite(program: ConstraintProgram, rep: Sequence[int]) -> ConstraintProgra
     out.flag_impfunc = list(program.flag_impfunc)
     out.flag_extfunc = list(program.flag_extfunc)
     # Behavioural flags: OR onto the representative.
-    out.flag_pte = [False] * n
-    out.flag_pe = [False] * n
-    out.flag_sscalar = [False] * n
-    out.flag_lscalar = [False] * n
-    out.flag_extcall = [False] * n
-    for v in range(n):
-        r = rep[v]
-        if program.flag_pte[v]:
-            out.flag_pte[r] = True
-        if program.flag_pe[v]:
-            out.flag_pe[r] = True
-        if program.flag_sscalar[v]:
-            out.flag_sscalar[r] = True
-        if program.flag_lscalar[v]:
-            out.flag_lscalar[r] = True
-        if program.flag_extcall[v]:
-            out.flag_extcall[r] = True
-
     rows = range(n)
+    for name in (
+        "flag_pte", "flag_pe", "flag_sscalar", "flag_lscalar", "flag_extcall"
+    ):
+        merged = [False] * n
+        for v in compress(rows, getattr(program, name)):
+            merged[rep[v]] = True
+        setattr(out, name, merged)
+
     for p in compress(rows, program.base):
         writable_set(out.base, rep[p]).update(program.base[p])
     for src in compress(rows, program.simple_out):
@@ -331,10 +338,7 @@ def _rewrite(program: ConstraintProgram, rep: Sequence[int]) -> ConstraintProgra
         writable_list(out.store_into, rep[q]).extend(
             rep[s] for s in program.store_into[q]
         )
-    for lst in out.load_from:
-        if len(lst) > 1:
-            lst[:] = dict.fromkeys(lst)
-    for lst in out.store_into:
+    for lst in chain(filter(None, out.load_from), filter(None, out.store_into)):
         if len(lst) > 1:
             lst[:] = dict.fromkeys(lst)
 
@@ -382,26 +386,24 @@ def _compact(
     solution is translated back by :func:`expand_solution`.
     """
     out = ConstraintProgram(reduced.name)
-    out.var_names = [reduced.var_names[o] for o in new2old]
-    out.in_p = [reduced.in_p[o] for o in new2old]
-    out.in_m = [reduced.in_m[o] for o in new2old]
-    out.base = [
-        {old2new[x] for x in row} if row else EMPTY_SET_ROW
-        for row in map(reduced.base.__getitem__, new2old)
-    ]
-    out.simple_out = [
-        {old2new[d] for d in row} if row else EMPTY_SET_ROW
-        for row in map(reduced.simple_out.__getitem__, new2old)
-    ]
-    out.load_from = [
-        [old2new[p] for p in row] if row else EMPTY_LIST_ROW
-        for row in map(reduced.load_from.__getitem__, new2old)
-    ]
-    out.store_into = [
-        [old2new[s] for s in row] if row else EMPTY_LIST_ROW
-        for row in map(reduced.store_into.__getitem__, new2old)
-    ]
+    rename = old2new.__getitem__
+
+    def renamed_rows(kind: str, own: type, empty) -> list:
+        # Only a non-empty row takes a Python step.
+        kept = list(map(getattr(reduced, kind).__getitem__, new2old))
+        renamed = [empty] * len(kept)
+        for i in compress(range(len(kept)), kept):
+            renamed[i] = own(map(rename, kept[i]))
+        return renamed
+
+    out.base = renamed_rows("base", set, EMPTY_SET_ROW)
+    out.simple_out = renamed_rows("simple_out", set, EMPTY_SET_ROW)
+    out.load_from = renamed_rows("load_from", list, EMPTY_LIST_ROW)
+    out.store_into = renamed_rows("store_into", list, EMPTY_LIST_ROW)
     for name in (
+        "var_names",
+        "in_p",
+        "in_m",
         "flag_ea",
         "flag_pte",
         "flag_pe",
@@ -411,8 +413,7 @@ def _compact(
         "flag_extfunc",
         "flag_extcall",
     ):
-        row = getattr(reduced, name)
-        setattr(out, name, [row[o] for o in new2old])
+        setattr(out, name, list(map(getattr(reduced, name).__getitem__, new2old)))
     for fc in reduced.funcs:
         out.add_func(
             old2new[fc.func],
@@ -500,7 +501,7 @@ def _chain_pairs(
             read_pos.add(fc.ret)  # returned values
 
     pairs: List[Tuple[int, int]] = []
-    for q in range(n):
+    for q in compress(range(n), reduced.simple_out):
         if not reduced.in_p[q]:
             continue
         if len(reduced.simple_out[q]) != 1:
@@ -552,36 +553,44 @@ def _subsume_bases(reduced: ConstraintProgram) -> int:
     (docs/internals.md §13).
     """
     n = reduced.num_vars
-    sccs = strongly_connected_components(
-        list(range(n)), lambda v: reduced.simple_out[v]
-    )
+    simple_out = reduced.simple_out
+    rng = range(n)
+    sccs = strongly_connected_components(rng, simple_out.__getitem__)
     sccs.reverse()  # topological order
-    scc_of = [0] * n
+    # Only a variable with a base and a copy edge can justify a removal.
+    # They are taken in topological order, members of one SCC
+    # ascending.  A node names its SCC by itself, a cycle's members by
+    # the cycle's (negative) number, so only cycles need an entry.
+    scc_of: Dict[int, int] = {}
     for i, scc in enumerate(sccs):
-        for v in scc:
-            scc_of[v] = i
+        if len(scc) > 1:
+            scc.sort()
+            scc_of.update(dict.fromkeys(scc, -1 - i))
+    position = dict(zip(chain.from_iterable(sccs), count()))
+    base = reduced.base
+    sources = sorted(
+        compress(rng, map(and_, map(bool, base), map(bool, simple_out))),
+        key=position.__getitem__,
+    )
     # Removals replace a row instead of shrinking it in place, so the
     # rows listed here stay the original bases, and a row emptied goes
     # back to the shared empty row.
-    base = reduced.base
     original = list(base)
     removed = 0
-    for scc in sccs:
-        for u in sorted(scc):
-            bu = original[u]
-            if not bu:
+    for u in sources:
+        bu = original[u]
+        own = scc_of.get(u, u)
+        for v in sorted(simple_out[u]):
+            if scc_of.get(v, v) == own:
                 continue
-            for v in sorted(reduced.simple_out[u]):
-                if scc_of[v] == scc_of[u]:
-                    continue
-                inter = base[v] & bu
-                if inter:
-                    base[v] = base[v] - inter or EMPTY_SET_ROW
-                    removed += len(inter)
+            inter = base[v] & bu
+            if inter:
+                base[v] = base[v] - inter or EMPTY_SET_ROW
+                removed += len(inter)
     if reduced.omega is None:  # IP mode: ea/pte are flags
         ea = reduced.flag_ea
-        for p in range(n):
-            if reduced.flag_pte[p] and base[p]:
+        for p in compress(rng, reduced.flag_pte):
+            if base[p]:
                 drop = {x for x in base[p] if ea[x]}
                 if drop:
                     base[p] = base[p] - drop or EMPTY_SET_ROW
@@ -623,17 +632,29 @@ def reduce_program(
             uf.union(first, other)
 
     in_p = program.in_p
+    rng = range(n)
+
+    def classes() -> List[List[int]]:
+        """The classes of two or more variables: the root, then the
+        other members ascending.  Only a merged variable takes a
+        Python step."""
+        root = uf.representatives()
+        found: Dict[int, List[int]] = {}
+        for v in compress(rng, map(ne, root, rng)):
+            r = root[v]
+            members = found.get(r)
+            if members is None:
+                members = found[r] = [r]
+            members.append(v)
+        return list(found.values())
 
     def rep_map() -> List[int]:
         # Prefer a pointer as representative: extraction materialises a
         # points-to set only for ``in_p`` variables, and the fixup that
         # shares the class Sol back to merged-away pointers needs the
         # accumulating side to be one of them.
-        classes: Dict[int, List[int]] = {}
-        for v in range(n):
-            classes.setdefault(uf.find(v), []).append(v)
-        rep = [0] * n
-        for members in classes.values():
+        rep = list(rng)
+        for members in classes():
             r = min((m for m in members if in_p[m]), default=min(members))
             for m in members:
                 rep[m] = r
@@ -644,9 +665,7 @@ def reduce_program(
 
     chain_pairs: List[Tuple[int, int]] = []
     if collapse_chains:
-        class_members: Dict[int, List[int]] = {}
-        for v in range(n):
-            class_members.setdefault(rep1[v], []).append(v)
+        class_members = {rep1[members[0]]: members for members in classes()}
         chain_pairs = _chain_pairs(reduced, class_members)
         if chain_pairs:
             for q, target in chain_pairs:
@@ -657,13 +676,7 @@ def reduce_program(
     if subsume_bases:
         _subsume_bases(reduced)
 
-    classes: Dict[int, List[int]] = {}
-    for v in range(n):
-        classes.setdefault(uf.find(v), []).append(v)
-    unions = sorted(
-        (sorted(members) for members in classes.values() if len(members) >= 2),
-        key=lambda g: g[0],
-    )
+    unions = sorted((sorted(members) for members in classes()), key=lambda g: g[0])
     # Classes with a member that online rules can target by index
     # (memory locations reached through dereferences, Ω itself) must
     # really be unified inside the solver; all-register classes are
@@ -673,17 +686,15 @@ def reduce_program(
         g for g in unions if any(in_m[m] or m == omega for m in g)
     ]
     final_rep = rep_map()
-    alias_of = {v: r for v, r in enumerate(final_rep) if r != v}
+    alias_of = {v: final_rep[v] for v in compress(rng, map(ne, final_rep, rng))}
 
     # Pass 4: drop dead variables.  A variable survives iff it is a
     # class representative or has an identity role — it can appear as a
     # pointee or be targeted by an online rule (in M, ea-flagged, Ω).
-    ea = program.flag_ea
-    new2old: Optional[List[int]] = [
-        v
-        for v in range(n)
-        if final_rep[v] == v or in_m[v] or ea[v] or v == omega
-    ]
+    survives = list(map(or_, map(or_, map(eq, final_rep, rng), in_m), program.flag_ea))
+    if omega is not None:
+        survives[omega] = True
+    new2old: Optional[List[int]] = list(compress(rng, survives))
     if len(new2old) == n:
         new2old = None
     else:

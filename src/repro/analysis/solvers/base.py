@@ -19,12 +19,22 @@ Pointee sets (Sol_e / ΔSol) are represented by a pluggable backend from
 backend-level *masks* (pointer-compatible, §V-B incompatible-location,
 holds-a-Func, ImpFunc/ExtFunc) that let solvers filter a pointee set
 with one native intersection instead of per-element Python tests.
+
+Every empty Sol_e / ΔSol row holds the backend's one immutable empty
+value (:attr:`~repro.analysis.pts.base.PTSBackend.shared_empty`) until
+a member arrives, and :meth:`SolverState.grow` is the only writer that
+may find it there: it swaps a fresh value of the row's own in.  A row
+whose set is emptied again gets the shared value back (a union's
+merged-away node, DP's processed delta, PIP addition 2).  So set-up,
+extraction and the fixpoint pass skip empty rows by identity, in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import partial
+from itertools import compress, repeat
+from operator import and_, is_, is_not, ne, not_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..constraints import (
@@ -165,13 +175,15 @@ class SolverState:
         n = program.num_vars
         self.uf = UnionFind(n)
         self.dp = dp
+        #: the backend's shared empty value, held by every empty row of
+        #: :attr:`sol` and :attr:`dsol`
+        self.empty = backend.shared_empty
         #: explicit pointees (original M indexes); in DP mode this is the
         #: *processed* part and :attr:`dsol` holds the unprocessed delta
         self.sol = backend.copy_rows(program.base)
         if dp:
             # Everything starts unprocessed.
-            empty = backend.empty
-            self.dsol, self.sol = self.sol, [empty() for _ in range(n)]
+            self.dsol, self.sol = self.sol, [self.empty] * n
         else:
             self.dsol = []
         self.masks = ProgramMasks(program, backend)
@@ -235,6 +247,37 @@ class SolverState:
         self.ea_mask.add(x)
         return True
 
+    def grow(self, rows: List, v: int, items, processed=None) -> int:
+        """Add ``items`` to the Sol_e or ΔSol row ``rows[v]``; returns
+        how many members were new.
+
+        With ``processed`` (the row is ΔSol, ``processed`` the node's
+        Sol_e) only members outside both are added, the DP step of
+        :meth:`~repro.analysis.pts.base.PTSBackend.delta_update`;
+        otherwise it is ``union_grow``.  This is the one copy-on-write
+        step of the shared empty value: a row holding it takes a fresh
+        value of its own when a member arrives, and keeps the shared one
+        when none does.  Without ``processed`` every member is new, and
+        the fresh value is the backend's copy of ``items``, the value
+        ``union_grow`` would build from an empty one.
+        """
+        target = rows[v]
+        pts = self.pts
+        if target is self.empty:
+            if not items:
+                return 0
+            if processed is None:
+                rows[v] = pts.copy(items)
+                return len(items)
+            target = pts.empty()
+            added = pts.delta_update(target, items, processed)
+            if added:
+                rows[v] = target
+            return added
+        if processed is None:
+            return pts.union_grow(target, items)
+        return pts.delta_update(target, items, processed)
+
     def union(self, a: int, b: int) -> int:
         """Unify two nodes; returns the surviving representative."""
         ra, rb = self.uf.find(a), self.uf.find(b)
@@ -245,12 +288,11 @@ class SolverState:
         r = self.uf.union(ra, rb)
         dead = rb if r == ra else ra
         self.stats.unifications += 1
-        empty = self.pts.empty
-        self.sol[r] |= self.sol[dead]
-        self.sol[dead] = empty()
-        if self.dp:
-            self.dsol[r] |= self.dsol[dead]
-            self.dsol[dead] = empty()
+        empty = self.empty
+        for rows in (self.sol, self.dsol) if self.dp else (self.sol,):
+            if rows[dead] is not empty:
+                self.grow(rows, r, rows[dead])
+                rows[dead] = empty
         for rows in (self.succ, self.loads, self.stores):
             if rows[dead]:
                 writable_set(rows, r).update(rows[dead])
@@ -309,31 +351,34 @@ class SolverState:
     # ------------------------------------------------------------------
 
     def fixpoint(self, groups: List[List[int]]) -> Fixpoint:
-        """This state's fixpoint beyond the Solution, as plain lists."""
-        n = self.program.num_vars
+        """This state's fixpoint beyond the Solution, as plain lists.
+
+        Only the non-empty succ rows and the unified variables take a
+        Python step; the rest is selected in C.
+        """
+        succ = self.succ
+        rng = range(self.program.num_vars)
         if not self.any_unions:
             # Every variable is its own representative.
             return Fixpoint(
-                pe=list(compress(range(n), self.pe)),
-                edges=[
-                    (r, tuple(row)) for r, row in enumerate(self.succ) if row
-                ],
+                pe=list(compress(rng, self.pe)),
+                edges=[(r, tuple(succ[r])) for r in compress(rng, succ)],
                 unions=[],
                 groups=groups,
             )
-        find = self.uf.find
-        reps = [find(v) for v in range(n)]
-        pe = self.pe
+        reps = self.uf.representatives()
+        # A union hands the merged-away node's row back to the shared
+        # empty row, so every non-empty row is a representative's.
         return Fixpoint(
-            pe=[v for v in range(n) if pe[reps[v]]],
+            pe=list(compress(rng, map(self.pe.__getitem__, reps))),
             edges=[
                 (r, tuple(row))
-                for r in range(n)
+                for r in compress(rng, succ)
                 if reps[r] == r
                 for row in (self.canonical_succ(r),)
                 if row
             ],
-            unions=[(v, r) for v, r in enumerate(reps) if v != r],
+            unions=[(v, reps[v]) for v in compress(rng, map(ne, reps, rng))],
             groups=groups,
         )
 
@@ -366,6 +411,7 @@ class SolverState:
         sol, pte = self.sol, self.pte
         mapped: Dict[int, object] = {}  # id(stored set) → its image
         omega_only = frozenset((OMEGA,))
+        empty = self.empty
         for p, stored in start.solution.stored_sets().items():
             if not stored:
                 continue
@@ -379,7 +425,11 @@ class SolverState:
             if OMEGA in stored:
                 pte[r] = True
             if value:
-                sol[r] |= value
+                row = sol[r]
+                if row is empty:
+                    self.grow(sol, r, value)
+                else:
+                    row |= value
         pe = self.pe
         for v in fixpoint.pe:
             pe[target[v]] = True
@@ -402,12 +452,15 @@ class SolverState:
         return self.uf.roots()
 
     def count_explicit_pointees(self) -> int:
-        """Table VI metric: each shared Sol_e set counted once."""
-        total = 0
-        for r in self.live_reps():
-            total += len(self.sol[r])
-            if self.dp:
-                total += len(self.dsol[r] - self.sol[r])
+        """Table VI metric: each shared Sol_e set counted once.  A row
+        holding the shared empty value is skipped in C."""
+        sol, dsol = self.sol, self.dsol
+        reps = list(self.live_reps()) if self.any_unions else range(len(sol))
+        held = partial(is_not, self.empty)
+        total = sum(map(len, filter(held, map(sol.__getitem__, reps))))
+        if self.dp:
+            for r in compress(reps, map(held, map(dsol.__getitem__, reps))):
+                total += len(dsol[r] - sol[r])
         return total
 
     # ------------------------------------------------------------------
@@ -435,6 +488,11 @@ class SolverState:
         skip and its E, all chosen before the loop.  (EP programs carry
         no Table II flags and EP visits never mark ``pte``, so the loop's
         Ω widening never fires for them.)
+
+        A pointer whose representative is unwidened and holds the shared
+        empty value gets the one interned ∅ without a Python step: the
+        blank representatives and the pointers they stand for are
+        selected in C, and the loop walks the other pointers only.
         """
         program = self.program
         self.stats.explicit_pointees = self.count_explicit_pointees()
@@ -450,16 +508,14 @@ class SolverState:
             def remapped(full):
                 return frozenset(map(item, full))
 
+        n = program.num_vars
+        rng = range(n)
         omega = program.omega
         in_p = program.in_p
         omega_only = frozenset((OMEGA,))
         if omega is None:
             # IP: E is the locations marked externally accessible.
-            located = [
-                x
-                for x in compress(range(program.num_vars), program.in_m)
-                if self.ea[x]
-            ]
+            located = list(compress(rng, map(and_, program.in_m, self.ea)))
             lift = remapped
         else:
             # EP: E is Sol(Ω) without Ω itself; Ω is not a pointer of
@@ -491,44 +547,59 @@ class SolverState:
         located_mask = self.pts.mask(located)
         intern = InternTable()
         key_of = self.pts.cache_key
-        empty_sol = None
+        sol, dsol, pte, empty = self.sol, self.dsol, self.pte, self.empty
+        dp = self.dp
         # Without unions every pointer is its own representative, so the
         # per-rep memo would be all misses — skip its dict traffic.
         unions = self.any_unions
+        pointers = list(compress(rng, in_p))
+        # blank[r]: r holds the shared empty value (and, under DP, an
+        # empty delta too) and is not widened.
+        held = map(is_, sol, repeat(empty))
+        if dp:
+            held = map(and_, held, map(is_, dsol, repeat(empty)))
+        blank = list(map(and_, held, map(not_, pte)))
+        if unions:
+            reps = self.uf.representatives()
+            blank = list(map(blank.__getitem__, reps))
+        rest = list(compress(pointers, map(not_, map(blank.__getitem__, pointers))))
+        # Every empty, unwidened pointer shares one interned ∅, interned
+        # only if some pointer has it.
+        empty_sol = None
+        if len(rest) < len(pointers):
+            empty_sol = intern.intern(frozenset())
+        sets: List[Optional[FrozenSet]] = [empty_sol] * n
         by_rep: Dict[int, FrozenSet] = {}
         by_key: Dict[object, FrozenSet] = {}
-        points_to: Dict[int, FrozenSet] = {}
-        for p in compress(range(program.num_vars), in_p):
-            r = find(p) if unions else p
+        for p in rest:
+            r = reps[p] if unions else p
             s = by_rep.get(r) if unions else None
             if s is None:
-                full = self.full_sol(r)
-                if not full and not self.pte[r]:
-                    # Empty and unwidened: one shared ∅, skipping the
-                    # freeze/key machinery — the common case after the
-                    # offline reduction hollows nodes.
-                    if empty_sol is None:
-                        empty_sol = intern.intern(frozenset())
-                    s = empty_sol
-                else:
-                    # Freeze each distinct underlying set once: backends
-                    # with a cheap value key (bitset: the packed int)
-                    # dedup before paying the per-member decode.  pte is
-                    # part of the key — it widens the canonical set.
-                    k = key_of(full)
+                full = sol[r]
+                if dp and dsol[r] is not empty:
+                    full = full | dsol[r]
+                widened = pte[r]
+                # Freeze each distinct underlying set once: backends
+                # with a cheap value key (bitset: the packed int) dedup
+                # before paying the per-member decode.  pte is part of
+                # the key — it widens the canonical set.
+                k = key_of(full)
+                if k is not None:
+                    k = (k, widened)
+                    s = by_key.get(k)
+                if s is None:
+                    if widened:
+                        s = lift(full - located_mask) | omega_only
+                    else:
+                        s = lift(full)
+                    s = intern.intern(s)
                     if k is not None:
-                        k = (k, self.pte[r])
-                        s = by_key.get(k)
-                    if s is None:
-                        if self.pte[r]:
-                            s = lift(full - located_mask) | omega_only
-                        else:
-                            s = lift(full)
-                        s = intern.intern(s)
-                        if k is not None:
-                            by_key[k] = s
-                by_rep[r] = s
-            points_to[p if new2old is None else new2old[p]] = s
+                        by_key[k] = s
+                if unions:
+                    by_rep[r] = s
+            sets[p] = s
+        keys = pointers if new2old is None else map(new2old.__getitem__, pointers)
+        points_to = dict(zip(keys, map(sets.__getitem__, pointers)))
         if alias_of is not None:
             attach_aliases(points_to, out_program, alias_of)
         self.stats.shared_sets = len(intern)

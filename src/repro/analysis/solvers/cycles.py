@@ -26,6 +26,7 @@ Detectors communicate unifications through
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress, count
 from typing import Callable, DefaultDict, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..constraints import ConstraintProgram
@@ -36,51 +37,70 @@ def strongly_connected_components(
 ) -> List[List[int]]:
     """Iterative Tarjan SCC over the subgraph reachable from ``roots``.
 
-    Returns SCCs in reverse topological order (standard Tarjan output).
+    Returns SCCs in reverse topological order (standard Tarjan output),
+    roots taken in their iteration order and successors in theirs.
+    This is the one SCC kernel of the analysis: OVS labelling, Reduce's
+    base subsumption, OCD's initial pass, HCD's offline pass, LCD's
+    sweeps and the TOPO worklist all call it.
+
+    ``successors(v)`` is called once per reached node and must not
+    change while the search runs; a falsy result means no successors.
+    Most nodes of an offline constraint graph have none, and such a
+    node is its own SCC: it is emitted where Tarjan would emit it,
+    without a DFS frame.  (Its index exceeds its parent's, so popping
+    its frame could never lower the parent's low-link.)  A cheap
+    ``successors`` — a list's or dict's bound ``__getitem__`` — keeps
+    the per-node cost in C.
     """
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
     on_stack: Set[int] = set()
     stack: List[int] = []
     sccs: List[List[int]] = []
-    counter = 0
-    for root in list(roots):
+    for root in roots:
         if root in index:
             continue
-        work: List = [(root, iter(list(successors(root))))]
-        index[root] = low[root] = counter
-        counter += 1
+        out = successors(root)
+        index[root] = len(index)
+        if not out:
+            sccs.append([root])
+            continue
+        low[root] = index[root]
         stack.append(root)
         on_stack.add(root)
+        work: List = [(root, iter(out))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
+                    out = successors(w)
+                    index[w] = len(index)
+                    if not out:
+                        sccs.append([w])
+                        continue
+                    low[w] = index[w]
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(list(successors(w)))))
-                    advanced = True
+                    work.append((w, iter(out)))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                sccs.append(scc)
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if work:
+                    pv = work[-1][0]
+                    if lv < low[pv]:
+                        low[pv] = lv
+                if lv == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.remove(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    sccs.append(scc)
     return sccs
 
 
@@ -155,18 +175,34 @@ class OnlineCycleDetection(CycleDetector):
 
     def before_solve(self) -> None:
         st = self.state
-        roots = {st.find(v) for v in range(st.program.num_vars)}
-        sccs = strongly_connected_components(roots, st.canonical_succ)
+        # Every variable's representative, inserted in variable order: a
+        # set's iteration order depends on its insertions, and the
+        # search's root order fixes the initial positions.
+        roots = set(st.uf.representatives())
+        # Clean the rows a union left stale, so the search reads every
+        # row straight from the list (a union hands a merged-away row
+        # back to the shared empty row, so every non-empty row is a
+        # representative's).
+        succ = st.succ
+        if st.any_unions:
+            for r in compress(range(len(succ)), succ):
+                st.canonical_succ(r)
+        sccs = strongly_connected_components(roots, succ.__getitem__)
         for scc in sccs:
-            first = scc[0]
-            for other in scc[1:]:
-                st.union(first, other)
-        # Tarjan emits SCCs in reverse topological order.
+            if len(scc) > 1:
+                first = scc[0]
+                for other in scc[1:]:
+                    st.union(first, other)
+        # Tarjan emits SCCs in reverse topological order; a singleton
+        # is its own representative still.
+        find = st.find
+        order = [
+            scc[0] if len(scc) == 1 else find(scc[0]) for scc in reversed(sccs)
+        ]
         pos = self._pos
-        for scc in reversed(sccs):
-            pos[st.find(scc[0])] = len(pos)
+        pos.update(zip(order, count(len(pos))))
         preds = self._preds
-        for v in pos:
+        for v in filter(succ.__getitem__, pos):
             for w in st.canonical_succ(v):
                 preds[w].add(v)
 
@@ -315,20 +351,36 @@ class HybridCycleDetection(CycleDetector):
         """
         program = self.program
         n = program.num_vars
-        adj: Dict[int, List[int]] = {}
+        simple_out = program.simple_out
+        load_from = program.load_from
+        store_into = program.store_into
+        # Adjacency rows of the 2n nodes (an empty row is the shared
+        # empty tuple), and the nodes in the order of their first
+        # out-edge.  Only variables with a non-empty row are walked, in
+        # ascending order, so every row lists its edges in the order a
+        # walk over all variables would.
+        adj: List = [()] * (2 * n)
+        roots: List[int] = []
 
-        def edge(a: int, b: int) -> None:
-            adj.setdefault(a, []).append(b)
+        def edges(a: int, targets) -> None:
+            row = adj[a]
+            if not row:
+                row = adj[a] = []
+                roots.append(a)
+            row.extend(targets)
 
-        for src in range(n):
-            for dst in program.simple_out[src]:
-                edge(src, dst)
-            for dst in program.load_from[src]:
-                edge(n + src, dst)
-            for q in program.store_into[src]:
-                edge(q, n + src)
-        roots = list(adj.keys())
-        for scc in strongly_connected_components(roots, lambda v: adj.get(v, ())):
+        rng = range(n)
+        walked = set(compress(rng, simple_out)).union(
+            compress(rng, load_from), compress(rng, store_into)
+        )
+        for src in sorted(walked):
+            if simple_out[src]:
+                edges(src, simple_out[src])
+            if load_from[src]:
+                edges(n + src, load_from[src])
+            for q in store_into[src]:
+                edges(q, (n + src,))
+        for scc in strongly_connected_components(roots, adj.__getitem__):
             if len(scc) < 2:
                 continue
             reals = [v for v in scc if v < n]

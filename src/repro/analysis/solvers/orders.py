@@ -37,6 +37,8 @@ import heapq
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
+from .cycles import strongly_connected_components
+
 
 def _identity(v: int) -> int:
     return v
@@ -254,56 +256,12 @@ def _topological(
 ) -> List[int]:
     """Topological order of the graph reachable from ``roots``.
 
-    Iterative Tarjan SCC; SCCs are emitted in reverse-topological order,
-    so the flattened reversed result is a valid topological order with
-    cycle members adjacent.
+    Tarjan emits SCCs in reverse-topological order, so the flattened
+    reversed result is a valid topological order with cycle members
+    adjacent.
     """
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    counter = 0
-
-    for root in list(roots):
-        if root in index:
-            continue
-        work: List = [(root, iter(list(successors(root))))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(list(successors(w)))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    scc.append(w)
-                    if w == v:
-                        break
-                sccs.append(scc)
     out: List[int] = []
-    for scc in reversed(sccs):
+    for scc in reversed(strongly_connected_components(roots, successors)):
         out.extend(reversed(scc))
     return out
 

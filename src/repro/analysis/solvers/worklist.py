@@ -120,7 +120,7 @@ class WorklistSolver:
         # Hot-path bindings (one attribute lookup per propagation saved).
         self._union_grow = self.state.pts.union_grow
         self._delta_update = self.state.pts.delta_update
-        self._pts_empty = self.state.pts.empty
+        self._empty = self.state.empty
         wl_cls = WORKLIST_ORDERS[order]
         # The worklist canonicalises through the solver's union-find so
         # cycle collapses retire queued aliases instead of re-firing the
@@ -268,10 +268,24 @@ class WorklistSolver:
     def _propagate(self, src: int, dst: int, items) -> None:
         """PROPAGATEPOINTEES(src → dst) restricted to ``items``."""
         st = self.state
-        if self.dp:
-            arrived = self._delta_update(st.dsol[dst], items, st.sol[dst])
+        # A row holding the shared empty value is written through the
+        # state's copy-on-write step, any other row directly; the shared
+        # value itself carries nothing.
+        empty = self._empty
+        if items is empty:
+            arrived = 0
+        elif self.dp:
+            delta = st.dsol[dst]
+            if delta is empty:
+                arrived = st.grow(st.dsol, dst, items, st.sol[dst])
+            else:
+                arrived = self._delta_update(delta, items, st.sol[dst])
         else:
-            arrived = self._union_grow(st.sol[dst], items)
+            target = st.sol[dst]
+            if target is empty:
+                arrived = st.grow(st.sol, dst, items)
+            else:
+                arrived = self._union_grow(target, items)
         changed = arrived > 0
         if arrived:
             st.stats.propagations += arrived
@@ -366,13 +380,15 @@ class WorklistSolver:
         st = self.state
         if not self.dp:
             return st.sol[n]
+        delta = st.dsol[n]
         if n in self._dirty:
             self._dirty.discard(n)
-            work = st.sol[n] | st.dsol[n]
+            work = st.sol[n] | delta
         else:
-            work = st.dsol[n]
-        st.sol[n] |= st.dsol[n]
-        st.dsol[n] = self._pts_empty()
+            work = delta
+        if delta is not self._empty:
+            st.grow(st.sol, n, delta)
+            st.dsol[n] = self._empty
         return work
 
     def _visit_ip(self, n: int) -> None:
@@ -407,8 +423,8 @@ class WorklistSolver:
         if self.pip2 and st.pe[n] and st.pte[n]:
             if st.sol[n]:
                 st.stats.pip_sets_cleared += 1
-                st.sol[n] = self._pts_empty()
-            work = self._pts_empty()
+                st.sol[n] = self._empty
+            work = self._empty
 
         new_edges: Set[Tuple[int, int]] = set()
         marks_pte: Set[int] = set()

@@ -6,6 +6,8 @@ members of a detected cycle are unified and share a single Sol_e set.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import eq, ne
 from typing import Iterable, List
 
 
@@ -63,4 +65,22 @@ class UnionFind:
         return out
 
     def roots(self) -> Iterable[int]:
-        return (i for i in range(len(self.parent)) if self.find(i) == i)
+        """The representatives, ascending: ``i`` is one iff it is its
+        own parent, which a C-level pass over the parents tests."""
+        parent = self.parent
+        return compress(range(len(parent)), map(eq, parent, range(len(parent))))
+
+    def representatives(self) -> List[int]:
+        """The representative of every element, in element order.
+
+        Compresses the path of every non-root (a root's parent is
+        itself already), so the parents are then the answer; the roots
+        cost no Python step.  Compression never changes what ``find``
+        or ``union`` returns.
+        """
+        parent = self.parent
+        find = self.find
+        rng = range(len(parent))
+        for x in compress(rng, map(ne, parent, rng)):
+            find(x)
+        return list(parent)

@@ -551,6 +551,31 @@ class TestServeQueryCLI:
             "<invalid>", "<invalid>", "ping", "open", "points_to", "shutdown"
         ]
 
+    def test_serve_bad_tcp_address_builds_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A usage error is caught before the startup build: no member
+        is parsed and no state is persisted."""
+        from repro.pipeline import Pipeline
+
+        source = tmp_path / "a.c"
+        source.write_text("int x; int *p = &x;\n")
+        state_dir = tmp_path / "d"
+        parsed = []
+        parse = Pipeline.parse
+
+        def counted(self, src):
+            parsed.append(src)
+            return parse(self, src)
+
+        monkeypatch.setattr(Pipeline, "parse", counted)
+        argv = ["serve", str(source), "--tcp", "nohost:notaport",
+                "--state-dir", str(state_dir)]
+        assert main(argv) == 2
+        assert "bad --tcp address" in capsys.readouterr().err
+        assert not (state_dir / "default.project.json").exists()
+        assert parsed == []
+
     def test_serve_tcp_restarts_from_state_dir(self, tmp_path):
         """``serve --tcp --state-dir DIR FILE`` persists its startup
         generation; a restart from DIR alone answers the same bytes."""
